@@ -34,6 +34,7 @@ from .ergodic import (
     ErgodicSolverParams,
     normalize_chi,
     solve_ergodic_longtime,
+    solve_ergodic_policy,
     solve_ergodic_rvi,
 )
 from .errors import ConfigError, NumericalError
@@ -85,6 +86,7 @@ __all__ = [
     "normalize_chi",
     "run_until_flat",
     "solve_ergodic_longtime",
+    "solve_ergodic_policy",
     "solve_ergodic_rvi",
     "stencil_report",
     "step_explicit",

@@ -9,6 +9,9 @@ boundary degeneracy, so both steppers act on interior nodes only.
   solve for the frozen controls); each frozen-control matrix is an
   M-matrix, so the step is monotone for any step size.
 
+:func:`frozen_matrix` builds that matrix; the ergodic policy solver
+builds its pinned generator with it too.
+
 Every evolution enforces the a-priori bound
 ``sup |u(t)| <= sup |u0| + sup |l| * t`` at snapshot times.
 """
@@ -74,19 +77,35 @@ def step_explicit(grid: Grid, state: CauchyState, dt: float) -> CauchyState:
     return CauchyState(state.t + dt, u, state.u0_sup, state.l_sup, state.step_count + 1)
 
 
-def _solve_frozen(grid: Grid, policy: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
-    """Solve (I + dt A_policy) u = rhs for the frozen per-node controls."""
+def frozen_matrix(
+    grid: Grid,
+    policy: np.ndarray,
+    scale: float,
+    shift: float,
+    pin: int | None = None,
+):
+    """The matrix ``shift I + scale A_policy`` for frozen per-node controls.
+
+    ``(A_policy u)_i = sum of coef * (u_nbr - u_i)`` over the stencil of
+    the control ``policy[i]``, so ``control_values(grid, u)[policy[i], i]``
+    is ``(A_policy u)_i - l``.  With ``pin`` the row of that node becomes
+    the identity row.  Returned in the form :func:`solve_frozen` takes:
+    the (3, n) band of ``scipy.linalg.solve_banded`` in 1-D, CSR in 2-D.
+    """
     n = grid.n
     rows = np.arange(n)
     cm = np.stack([cs.coef_minus for cs in grid.controls])[policy, rows, :]
     cp = np.stack([cs.coef_plus for cs in grid.controls])[policy, rows, :]
-    diag = 1.0 - dt * (cm.sum(axis=1) + cp.sum(axis=1))
+    diag = shift - scale * (cm.sum(axis=1) + cp.sum(axis=1))
+    if pin is not None:
+        cm[pin] = cp[pin] = 0.0
+        diag[pin] = 1.0
     if grid.ndim == 1:
         ab = np.zeros((3, n))
         ab[1] = diag
-        ab[0, 1:] = dt * cp[:-1, 0]
-        ab[2, :-1] = dt * cm[1:, 0]
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+        ab[0, 1:] = scale * cp[:-1, 0]
+        ab[2, :-1] = scale * cm[1:, 0]
+        return ab
     entries_r = [rows]
     entries_c = [rows]
     entries_v = [diag]
@@ -96,12 +115,19 @@ def _solve_frozen(grid: Grid, policy: np.ndarray, rhs: np.ndarray, dt: float) ->
             mask = nbr >= 0
             entries_r.append(rows[mask])
             entries_c.append(nbr[mask])
-            entries_v.append(dt * coef[mask])
-    mat = scipy.sparse.csr_matrix(
+            entries_v.append(scale * coef[mask])
+    return scipy.sparse.csr_matrix(
         (np.concatenate(entries_v), (np.concatenate(entries_r), np.concatenate(entries_c))),
         shape=(n, n),
     )
-    return scipy.sparse.linalg.spsolve(mat, rhs)
+
+
+def solve_frozen(grid: Grid, matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ u = rhs`` for a :func:`frozen_matrix`; ``rhs`` may
+    hold one right-hand side per column."""
+    if grid.ndim == 1:
+        return scipy.linalg.solve_banded((1, 1), matrix, rhs)
+    return scipy.sparse.linalg.spsolve(matrix, rhs)
 
 
 def howard_solve(
@@ -129,7 +155,7 @@ def howard_solve(
     last_residual = np.inf
     for sweep in range(1, max_sweeps + 1):
         rhs = u_old + dt * lvals[policy, np.arange(grid.n)]
-        u = _solve_frozen(grid, policy, rhs, dt)
+        u = solve_frozen(grid, frozen_matrix(grid, policy, scale=dt, shift=1.0), rhs)
         vals = control_values(grid, u)
         new_policy = np.argmax(vals, axis=0)
         last_residual = float(np.abs(u + dt * np.max(vals, axis=0) - u_old).max())

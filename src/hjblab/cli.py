@@ -25,6 +25,7 @@ from .grid import build_grid, stencil_report
 from .problem import SamplingPlan, assemble_problem, validate_assumptions
 
 DEFAULT_H = 1e-2
+ERGODIC_METHODS = ("policy", "rvi", "longtime")  # ergodic.solve_ergodic_<method>
 
 
 def _load_config(path: str) -> dict:
@@ -108,9 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ergodic", help="compute the ergodic pair (c, chi)")
     _add_common(p)
-    p.add_argument("--method", choices=("longtime", "rvi"), default="rvi")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument(
+        "--method", choices=ERGODIC_METHODS, default="policy",
+        help="policy: policy iteration for the average cost (default); "
+             "rvi, longtime: implicit-step cross-checks",
+    )
+    p.add_argument("--dt", type=float, default=None, help="rvi/longtime step")
+    p.add_argument("--tol", type=float, default=1e-8, help="interior residual tolerance")
 
     p = subs.add_parser("converge", help="long-time convergence diagnostics")
     _add_common(p)
@@ -125,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("left", "right", "radial"), default="left")
     p.add_argument("--fit-min", type=float, default=None)
     p.add_argument("--fit-max", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
 
     p = subs.add_parser("envelope", help="boundary envelope check")
     _add_common(p)
@@ -134,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None, help="evolutive check at this time")
     p.add_argument("--u0", default="zero")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None, help="step of the evolutive check")
     p.add_argument("--require-certified", action="store_true")
     return parser
 
@@ -143,12 +147,9 @@ def _out_dir(args) -> str:
     return args.out or f"hjblab-{args.command}-out"
 
 
-def _ergodic_pair(grid, args):
-    params = ergodic.ErgodicSolverParams(
-        tolerance=getattr(args, "tol", 1e-8) if args.command == "ergodic" else 1e-8,
-        dt=getattr(args, "dt", None),
-    )
-    return ergodic.solve_ergodic_rvi(grid, params)
+def _ergodic_pair(grid, method: str = "policy", tolerance: float = 1e-8, dt: float | None = None):
+    solve = getattr(ergodic, f"solve_ergodic_{method}")
+    return solve(grid, ergodic.ErgodicSolverParams(tolerance=tolerance, dt=dt))
 
 
 def run(argv: list[str]) -> int:
@@ -233,11 +234,7 @@ def _dispatch(args, config: dict, problem) -> int:
         return 0
 
     if args.command == "ergodic":
-        params = ergodic.ErgodicSolverParams(tolerance=args.tol, dt=args.dt)
-        if args.method == "longtime":
-            pair = ergodic.solve_ergodic_longtime(grid, params)
-        else:
-            pair = ergodic.solve_ergodic_rvi(grid, params)
+        pair = _ergodic_pair(grid, args.method, args.tol, args.dt)
         manifest = _manifest(
             args, config,
             {"h": h, "method": args.method, "tol": args.tol, "dt": args.dt,
@@ -250,7 +247,7 @@ def _dispatch(args, config: dict, problem) -> int:
         return 0
 
     if args.command == "converge":
-        pair = _ergodic_pair(grid, args)
+        pair = _ergodic_pair(grid)
         u0 = _u0_field(grid, args.u0, args.seed)
         traj, report = analysis.run_until_flat(
             grid, u0, pair, tol=args.tol, dt=args.dt, t_max=args.t_max
@@ -273,7 +270,7 @@ def _dispatch(args, config: dict, problem) -> int:
         return 0
 
     if args.command == "holder":
-        pair = _ergodic_pair(grid, args)
+        pair = _ergodic_pair(grid)
         fit_range = None
         if args.fit_min is not None and args.fit_max is not None:
             fit_range = (args.fit_min, args.fit_max)
@@ -290,7 +287,7 @@ def _dispatch(args, config: dict, problem) -> int:
 
     if args.command == "envelope":
         if args.t is None:
-            pair = _ergodic_pair(grid, args)
+            pair = _ergodic_pair(grid)
             report = analysis.boundary_envelope_check(
                 grid, pair.chi, args.rho, args.delta,
                 barrier_M=2 * abs(pair.c) + grid.l_sup(),

@@ -1,7 +1,11 @@
 """The ergodic pair (c, chi): H[chi] = c with sup chi = 0.
 
-Two independent solvers:
+Three solvers:
 
+* :func:`solve_ergodic_policy` (the default) is Howard's policy iteration
+  for the average cost: each frozen policy costs one linear solve for
+  (chi, c), with chi pinned to zero at an anchor node, and the policy
+  settles in a few iterations;
 * :func:`solve_ergodic_longtime` reads c off the linear-in-time drift of
   a long evolution started from zero and takes chi as the drift-corrected
   final profile, doubling the horizon until the estimate settles;
@@ -9,30 +13,37 @@ Two independent solvers:
   re-anchored at a fixed interior node, converging to the discrete fixed
   point directly.
 
-Both report the residual ``sup |H[chi] - c|`` over nodes with d >= 10 h;
-the boundary layer, where the scheme loses consistency, is excluded from
+The last two march the evolution and serve as independent cross-checks
+of the first.  Every solver reports the residual ``sup |H[chi] - c|``
+over nodes with d >= 10 h and raises :class:`NumericalError` unless it
+is below the tolerance (``max(tolerance, 1e-8)`` for longtime); the
+boundary layer, where the scheme loses consistency, is excluded from
 that norm and reported separately.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg
 
-from .cauchy import CauchyState, initial_state, step_implicit_policy
+from .cauchy import CauchyState, frozen_matrix, initial_state, solve_frozen, step_implicit_policy
 from .errors import ConfigError, NumericalError
-from .grid import Grid, GridField, apply_H, cfl_dt
+from .grid import Grid, GridField, apply_H, cfl_dt, maximizing_policy
+
+MAX_POLICY_ITERATIONS = 100
 
 
 @dataclass
 class ErgodicSolverParams:
     tolerance: float = 1e-8
     max_iterations: int = 500_000
-    anchor_node: int | None = None      # rvi re-anchoring node, default: deepest
+    anchor_node: int | None = None      # policy/rvi anchor node, default: deepest
     t1: float = 2.0                     # longtime first sampling time
     t2: float = 8.0                     # longtime second sampling time
-    dt: float | None = None             # step; defaults per method
+    dt: float | None = None             # rvi/longtime step; defaults per method
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -79,8 +90,79 @@ def _residuals(grid: Grid, chi: GridField, c: float) -> tuple[float, float]:
     return float(r[interior].max()), float(r[boundary].max()) if boundary.any() else 0.0
 
 
-def _default_anchor(grid: Grid) -> int:
-    return int(np.argmax(grid.d))
+def _anchor(grid: Grid, params: ErgodicSolverParams) -> int:
+    anchor = params.anchor_node if params.anchor_node is not None else int(np.argmax(grid.d))
+    if not 0 <= anchor < grid.n:
+        raise ConfigError(f"anchor node {anchor} is out of range")
+    return anchor
+
+
+def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) -> ErgodicPair:
+    """Ergodic pair by policy iteration for the average cost.
+
+    For a frozen policy the pair solves ``A chi - l = c`` with
+    ``chi[anchor] = 0``.  With the anchor row of ``A`` replaced by the
+    identity row, one factorization gives ``y`` (right-hand side ``l``)
+    and ``z`` (right-hand side 1), both zero at the anchor; the anchor
+    row's own equation fixes c, and ``chi = y + c z``.  The policy is
+    then re-maximized until it stops changing.  ``z`` is the expected
+    hitting time of the anchor, so a node that never reaches the anchor
+    makes the matrix singular.
+    """
+    params = params or ErgodicSolverParams()
+    anchor = _anchor(grid, params)
+    n = grid.n
+    lvals = np.stack([cs.l for cs in grid.controls])
+    gather_minus = grid._gather_minus[anchor]
+    gather_plus = grid._gather_plus[anchor]
+    rhs = np.ones((n, 2))
+    rhs[anchor] = 0.0
+    policy = maximizing_policy(grid, np.zeros(n))
+    for iteration in range(1, MAX_POLICY_ITERATIONS + 1):
+        rhs[:, 0] = lvals[policy, np.arange(n)]
+        rhs[anchor, 0] = 0.0
+        matrix = frozen_matrix(grid, policy, scale=1.0, shift=0.0, pin=anchor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.sparse.linalg.MatrixRankWarning)
+            try:
+                yz = solve_frozen(grid, matrix, rhs)
+            except (np.linalg.LinAlgError, scipy.sparse.linalg.MatrixRankWarning):
+                raise NumericalError(
+                    f"the frozen-policy operator is singular at policy iteration {iteration}: "
+                    f"some node never reaches the anchor node {anchor}"
+                ) from None
+        if not np.isfinite(yz).all():
+            raise NumericalError(f"the frozen-policy solve is non-finite at policy iteration {iteration}")
+        # (A u)[anchor] for u = y, z in neighbor differences: the pinned row
+        # holds u[anchor] = 0 only up to the roundoff of the pivoted solve
+        cs = grid.controls[policy[anchor]]
+        a_y, a_z = (
+            cs.coef_minus[anchor] @ (yz[gather_minus] - yz[anchor])
+            + cs.coef_plus[anchor] @ (yz[gather_plus] - yz[anchor])
+        )
+        c = float((a_y - cs.l[anchor]) / (1.0 - a_z))
+        chi = yz[:, 0] + c * yz[:, 1]
+        new_policy = maximizing_policy(grid, chi)
+        if np.array_equal(new_policy, policy):
+            break
+        policy = new_policy
+    else:
+        raise NumericalError(f"policy iteration did not settle in {MAX_POLICY_ITERATIONS} iterations")
+    chi = normalize_chi(chi)
+    residual, boundary_res = _residuals(grid, chi, c)
+    if not residual <= params.tolerance:
+        raise NumericalError(
+            f"policy iteration settled with interior residual {residual:.3e} "
+            f"above the tolerance {params.tolerance}"
+        )
+    return ErgodicPair(
+        c=c,
+        chi=chi,
+        method="policy",
+        residual=residual,
+        iterations=iteration,
+        boundary_residual=boundary_res,
+    )
 
 
 def solve_ergodic_longtime(grid: Grid, params: ErgodicSolverParams | None = None) -> ErgodicPair:
@@ -105,8 +187,7 @@ def solve_ergodic_longtime(grid: Grid, params: ErgodicSolverParams | None = None
     t_hi = params.t2
     c_prev = None
     steps = 0
-    max_doublings = 60
-    for doubling in range(max_doublings):
+    for _ in range(60):
         state = advance(state, t_hi)
         steps = state.step_count
         mean_now = float(state.u.mean())
@@ -126,8 +207,6 @@ def solve_ergodic_longtime(grid: Grid, params: ErgodicSolverParams | None = None
         c_prev = c_now
         t_prev, mean_prev = state.t, mean_now
         t_hi *= 2.0
-        if doubling + 1 >= min(max_doublings, 60):
-            break
     raise NumericalError(
         f"longtime ergodic estimate did not settle (last c={c_prev}, horizon {t_hi})"
     )
@@ -142,9 +221,7 @@ def solve_ergodic_rvi(grid: Grid, params: ErgodicSolverParams | None = None) -> 
     """
     params = params or ErgodicSolverParams()
     dt = params.dt if params.dt is not None else 10.0 * cfl_dt(grid)
-    anchor = params.anchor_node if params.anchor_node is not None else _default_anchor(grid)
-    if not 0 <= anchor < grid.n:
-        raise ConfigError(f"anchor node {anchor} is out of range")
+    anchor = _anchor(grid, params)
 
     v = np.zeros(grid.n)
     c_est = 0.0

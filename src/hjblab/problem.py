@@ -510,7 +510,7 @@ def validate_assumptions(
     )
 
     passed = all(c.passed for c in checks)
-    return ValidationReport(passed=passed, checks=checks, certificate=certificate if passed else certificate)
+    return ValidationReport(passed=passed, checks=checks, certificate=certificate if passed else None)
 
 
 def degeneracy_certificate(problem: ControlProblem, plan: SamplingPlan | None = None) -> DegeneracyCertificate:

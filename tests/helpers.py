@@ -49,3 +49,12 @@ def sigma_one_config() -> dict:
         "controls": [{"b": ["1-2*x1"], "sigma": [["1"]], "l": "x1"}],
         "regularity": {"B": 2.0, "eta": 1.0, "beta": 1.0},
     }
+
+
+def flat_config() -> dict:
+    """No drift and no diffusion: no node is ever reached from another."""
+    return {
+        "domain": {"kind": "interval", "x_lo": 0.0, "x_hi": 1.0},
+        "controls": [{"b": ["0"], "sigma": [["0"]], "l": "x1"}],
+        "regularity": {"B": 2.0, "eta": 1.0, "beta": 1.0},
+    }

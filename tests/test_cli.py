@@ -126,6 +126,26 @@ def test_ergodic_constant(tmp_path):
     assert blob["chi_sup"] < 1e-9
 
 
+def test_ergodic_default_method_is_policy(tmp_path):
+    out = tmp_path / "e"
+    res = run_cli("ergodic", preset_path("smoothA"), "--h", "0.004", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert json.loads((out / "manifest.json").read_text())["method"] == "policy"
+    blob = json.loads((out / "ergodic.json").read_text())
+    assert blob["method"] == "policy"
+    assert abs(blob["c"] + 0.5) < 1e-9 and blob["residual"] <= 1e-10
+
+
+def test_ergodic_singular_operator_exits_one(tmp_path):
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps(helpers.flat_config()))
+    out = tmp_path / "e"
+    res = run_cli("ergodic", str(cfg), "--h", "0.1", "--out", str(out))
+    assert res.returncode == 1
+    assert "singular" in res.stderr
+    assert not out.exists()
+
+
 def test_ergodic_longtime_cli(tmp_path):
     out = tmp_path / "e"
     res = run_cli("ergodic", preset_path("constantL"), "--method", "longtime",

@@ -7,6 +7,63 @@ from hjblab.errors import NumericalError
 from hjblab.grid import apply_H
 
 
+DISK = {
+    "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+    "controls": [{"b": ["-x1", "-x2"], "sigma": [["d", "0"], ["0", "d"]], "l": "x1^2"}],
+    "regularity": {"B": 2.0, "eta": 1.0, "beta": 1.0},
+}
+
+
+def _disk_grid():
+    return hj.build_grid(hj.assemble_problem(DISK), 0.05)
+
+
+def _interior_residual(g, pair):
+    return np.abs(apply_H(g, pair.chi) - pair.c)[g.d >= 10 * g.h].max()
+
+
+@pytest.mark.parametrize("name", ["smoothA", "degenerateB", "twoControlA", "constantL", "disk"])
+def test_policy_matches_rvi(name):
+    if name == "disk":
+        g = _disk_grid()
+        rvi = hj.solve_ergodic_rvi(g, hj.ErgodicSolverParams(tolerance=1e-9, dt=0.05))
+    else:
+        g = helpers.grid(name, 0.004)
+        rvi = helpers.rvi_pair(name, 0.004)
+    pair = hj.solve_ergodic_policy(g)
+    assert pair.method == "policy"
+    assert abs(pair.c - rvi.c) <= 1e-9
+    assert np.abs(pair.chi - rvi.chi).max() <= 1e-8
+    assert pair.residual == _interior_residual(g, pair) <= 1e-10
+    assert pair.chi.max() == 0.0
+
+
+def test_policy_iterates_on_two_controls():
+    pair = hj.solve_ergodic_policy(helpers.grid("twoControlA", 0.004))
+    assert pair.iterations > 1
+
+
+@pytest.mark.parametrize("name", ["smoothA", "twoControlA", "disk"])
+def test_policy_anchor_independence(name):
+    g = _disk_grid() if name == "disk" else helpers.grid(name, 0.004)
+    p1 = hj.solve_ergodic_policy(g)
+    p2 = hj.solve_ergodic_policy(g, hj.ErgodicSolverParams(anchor_node=g.n // 4))
+    assert p2.c == pytest.approx(p1.c, abs=1e-10)
+    assert np.abs(p1.chi - p2.chi).max() <= 1e-10
+
+
+def test_policy_singular_operator_raises():
+    flat = hj.assemble_problem(helpers.flat_config())
+    with pytest.raises(NumericalError, match="singular"):
+        hj.solve_ergodic_policy(hj.build_grid(flat, 0.1))
+
+
+def test_policy_residual_above_tolerance_raises():
+    g = helpers.grid("smoothA", 0.004)
+    with pytest.raises(NumericalError, match="residual"):
+        hj.solve_ergodic_policy(g, hj.ErgodicSolverParams(tolerance=1e-16))
+
+
 def test_constant_cost_rvi():
     pair = hj.solve_ergodic_rvi(helpers.grid("constantL", 0.01))
     assert pair.c == pytest.approx(-2.0, abs=1e-10)

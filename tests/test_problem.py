@@ -3,8 +3,8 @@ import pytest
 
 import helpers
 from hjblab import assemble_problem, validate_assumptions
-from hjblab.errors import ConfigError
-from hjblab.problem import SamplingPlan
+from hjblab.errors import ConfigError, NumericalError
+from hjblab.problem import SamplingPlan, degeneracy_certificate
 
 
 def test_preset_constant_cost():
@@ -103,12 +103,17 @@ def test_validate_all_presets_pass():
 
 
 def test_sigma_one_fails_at_degeneracy():
-    report = validate_assumptions(assemble_problem(helpers.sigma_one_config()))
+    problem = assemble_problem(helpers.sigma_one_config())
+    report = validate_assumptions(problem)
     assert not report.passed
     failure = report.first_failure()
     assert failure.name == "boundary_degeneracy"
     assert failure.witness is not None
     assert failure.detail["boundary_residual"] == pytest.approx(1.0)
+    # a failed validation carries no certificate, so none can be handed out
+    assert report.certificate is None
+    with pytest.raises(NumericalError):
+        degeneracy_certificate(problem)
 
 
 def test_validation_monotone_in_tol():
