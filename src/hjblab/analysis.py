@@ -383,14 +383,8 @@ def linear_oracle_c(problem: ControlProblem, grid: Grid, refine: int = 4) -> flo
     m = int(round((dom.x_hi - dom.x_lo) / hf)) - 1
     xs = dom.x_lo + hf * np.arange(1, m + 1)
 
-    def a_of(x: float) -> float:
-        return float(problem.diffusion([x], 0)[0, 0])
-
-    def b_of(x: float) -> float:
-        return float(problem.drift([x], 0)[0])
-
-    a = np.array([a_of(x) for x in xs])
-    b_face = np.array([b_of(x + hf / 2) for x in xs[:-1]])
+    a = problem.diffusion(xs[:, None], 0)[:, 0, 0]
+    b_face = problem.drift((xs[:-1] + hf / 2)[:, None], 0)[:, 0]
 
     mu = np.zeros(m)
     mid = m // 2
@@ -418,5 +412,5 @@ def linear_oracle_c(problem: ControlProblem, grid: Grid, refine: int = 4) -> flo
         raise NumericalError("stationary density concentrates at the boundary; "
                              "the domain is not invariant")
     mu /= total
-    l_vals = np.array([problem.cost([x], 0) for x in xs])
+    l_vals = problem.cost(xs[:, None], 0)
     return -float(np.trapezoid(l_vals * mu, xs))

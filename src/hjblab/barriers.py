@@ -14,7 +14,9 @@ no finite differences involved.  Two families matter:
   same property, which yields boundary envelopes for solutions.
 
 The certificate search scans a descending lattice of collar widths and
-verifies the inequality pointwise on a geometric sample ladder.
+verifies the inequality pointwise on a geometric sample ladder.  Profiles
+act on arrays of distances, and :func:`eval_F_radial` evaluates a whole
+block of points at once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConfigError, NumericalError
-from .problem import ControlProblem, DegeneracyCertificate, degeneracy_certificate
+from .problem import (
+    ControlProblem,
+    DegeneracyCertificate,
+    degeneracy_certificate,
+    quadratic_form,
+    rowdot,
+    trace_product,
+)
 
 
 class LyapunovProfile:
@@ -36,13 +45,13 @@ class LyapunovProfile:
             raise ConfigError("lambda must be positive")
         self.lam = lam
 
-    def value(self, d: float) -> float:
+    def value(self, d: np.ndarray) -> np.ndarray:
         return -d ** (-self.lam)
 
-    def d1(self, d: float) -> float:
+    def d1(self, d: np.ndarray) -> np.ndarray:
         return self.lam * d ** (-self.lam - 1)
 
-    def d2(self, d: float) -> float:
+    def d2(self, d: np.ndarray) -> np.ndarray:
         return -self.lam * (self.lam + 1) * d ** (-self.lam - 2)
 
 
@@ -52,13 +61,13 @@ class BarrierProfile:
     def __init__(self, rho: float):
         self.rho = rho
 
-    def value(self, d: float) -> float:
+    def value(self, d: np.ndarray) -> np.ndarray:
         return d**self.rho - 1.0
 
-    def d1(self, d: float) -> float:
+    def d1(self, d: np.ndarray) -> np.ndarray:
         return self.rho * d ** (self.rho - 1)
 
-    def d2(self, d: float) -> float:
+    def d2(self, d: np.ndarray) -> np.ndarray:
         return self.rho * (self.rho - 1) * d ** (self.rho - 2)
 
 
@@ -100,59 +109,45 @@ class BarrierCertificate:
         }
 
 
-def eval_F_radial(problem: ControlProblem, profile, x) -> float:
-    """Exact value of the homogeneous operator on profile(d) at ``x``.
+def eval_F_radial(problem: ControlProblem, profile, x):
+    """Exact value of the homogeneous operator on profile(d) at ``x``:
+    a float at one point, an (m,) array on a block of points (m, N).
 
     ``x`` must avoid the distance function's singular set (the interval
     midpoint / the disk center, where d attains the inradius); certificate
     searches stay inside the collar, where d is always smooth.
     """
-    d, Dd, D2d = geo.distance(problem.domain, x)
-    if d >= geo.inradius(problem.domain):
-        raise ConfigError(f"point at d={d} is on the distance function's ridge")
-    g1 = profile.d1(d)
-    g2 = profile.d2(d)
-    if not (np.isfinite(g1) and np.isfinite(g2)):
-        raise ConfigError(f"profile is singular at d={d}")
-    best = -np.inf
+    pts, single = geo.as_points(problem.domain, x)
+    d, Dd, D2d = geo.distance(problem.domain, pts)
+    ridge = d >= geo.inradius(problem.domain)
+    if ridge.any():
+        raise ConfigError(f"point at d={d[np.argmax(ridge)]} is on the distance function's ridge")
+    g1 = np.broadcast_to(np.asarray(profile.d1(d), dtype=float), d.shape)
+    g2 = np.broadcast_to(np.asarray(profile.d2(d), dtype=float), d.shape)
+    singular = ~(np.isfinite(g1) & np.isfinite(g2))
+    if singular.any():
+        raise ConfigError(f"profile is singular at d={d[np.argmax(singular)]}")
+    best = None
     for ci in range(len(problem.controls)):
-        b = problem.drift(x, ci)
-        a = np.atleast_2d(problem.diffusion(x, ci))
-        val = -float(b @ Dd) * g1 - float(np.trace(a @ D2d)) * g1 - float(Dd @ a @ Dd) * g2
-        if val > best:
-            best = val
-    return best
-
-
-def _collar_samples(dom: geo.Domain, n_per_side: int = 2000, directions: int = 16):
-    """Geometric d-ladder over the full collar, returned sorted by d."""
-    width = geo.collar_width(dom)
-    d_min = 1e-9 * geo.diameter(dom)
-    ds = np.geomspace(d_min, width * (1 - 1e-9), n_per_side)
-    pts, dvals = [], []
-    if isinstance(dom, geo.Interval):
-        for d in ds:
-            pts.append(np.array([dom.x_lo + d]))
-            dvals.append(d)
-            pts.append(np.array([dom.x_hi - d]))
-            dvals.append(d)
-    else:
-        c = np.asarray(dom.center)
-        for th in np.linspace(0.0, 2 * np.pi, directions, endpoint=False):
-            u = np.array([np.cos(th), np.sin(th)])
-            for d in ds:
-                pts.append(c + (dom.radius - d) * u)
-                dvals.append(d)
-    order = np.argsort(dvals)
-    return [pts[i] for i in order], np.asarray(dvals)[order]
+        b = problem.drift(pts, ci)
+        a = problem.diffusion(pts, ci)
+        val = -rowdot(b, Dd) * g1 - trace_product(a, D2d) * g1 - quadratic_form(a, Dd) * g2
+        best = val if best is None else np.maximum(best, val)
+    return float(best[0]) if single else best
 
 
 def _scan_delta(problem, profile, M, grid_step, theoretical=None):
-    """Largest lattice delta with F[g] <= -M at every sample below it."""
+    """Largest lattice delta with F[g] <= -M at every sample below it.
+
+    The samples are a geometric d-ladder over the full collar along each
+    boundary ray, evaluated one ray at a time.
+    """
     dom = problem.domain
     width = geo.collar_width(dom)
-    pts, dvals = _collar_samples(dom)
-    F = np.array([eval_F_radial(problem, profile, x) for x in pts])
+    rays, ds = geo.collar_ladder(dom, 1e-9 * geo.diameter(dom), width * (1 - 1e-9), 2000)
+    # samples sorted by d; samples at equal d in ray order
+    F = np.stack([eval_F_radial(problem, profile, ray) for ray in rays], axis=1).ravel()
+    dvals = np.repeat(ds, len(rays))
     # cumulative max of F over samples with d below a threshold
     cummax = np.maximum.accumulate(F)
     lattice = np.arange(width, grid_step * (1 - 1e-12), -grid_step)
@@ -166,7 +161,7 @@ def _scan_delta(problem, profile, M, grid_step, theoretical=None):
             table = [(float(dvals[i]), float(F[i])) for i in range(0, inside, step)]
             theo = None
             if theoretical is not None:
-                theo = float(max(theoretical(dvals[i]) for i in range(inside)) + M)
+                theo = float(theoretical(ds[ds < delta]).max() + M)
             return BarrierCertificate(
                 spec=BarrierSpec(
                     family="lyapunov" if isinstance(profile, LyapunovProfile) else "barrier",
@@ -220,7 +215,7 @@ def find_barrier_delta(
     reg = problem.reg
     k, gamma = cert.k, cert.gamma
 
-    def theoretical(d: float) -> float:
+    def theoretical(d: np.ndarray) -> np.ndarray:
         return rho * d ** (gamma + rho - 1) * (
             -k + (rho - 1) * reg.B**2 * d ** (2 * reg.beta - gamma - 1)
         )

@@ -10,7 +10,9 @@ boundary degeneracy, so both steppers act on interior nodes only.
   M-matrix, so the step is monotone for any step size.
 
 :func:`frozen_matrix` builds that matrix; the ergodic policy solver
-builds its pinned generator with it too.
+builds its pinned generator with it too.  scipy is imported at the first
+solve, so the commands that never solve (validate, certify) skip its
+import.
 
 Every evolution enforces the a-priori bound
 ``sup |u(t)| <= sup |u0| + sup |l| * t`` at snapshot times.
@@ -21,9 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField, apply_H, cfl_dt, control_values
@@ -106,6 +105,7 @@ def frozen_matrix(
         ab[0, 1:] = scale * cp[:-1, 0]
         ab[2, :-1] = scale * cm[1:, 0]
         return ab
+    import scipy.sparse
     entries_r = [rows]
     entries_c = [rows]
     entries_v = [diag]
@@ -126,7 +126,11 @@ def solve_frozen(grid: Grid, matrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ u = rhs`` for a :func:`frozen_matrix`; ``rhs`` may
     hold one right-hand side per column."""
     if grid.ndim == 1:
+        import scipy.linalg
+
         return scipy.linalg.solve_banded((1, 1), matrix, rhs)
+    import scipy.sparse.linalg
+
     return scipy.sparse.linalg.spsolve(matrix, rhs)
 
 

@@ -13,6 +13,7 @@ configuration or arguments.  Nothing is written on exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -79,7 +80,10 @@ def _add_common(sub):
     sub.add_argument("--h", type=float, default=None, help="grid spacing override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: a parser is a web of reference cycles, and one
+    # per run() call would pile up as cyclic garbage in a long-lived caller
     parser = argparse.ArgumentParser(
         prog="hjblab",
         description="Discretize, solve and certify boundary-degenerate Bellman problems",

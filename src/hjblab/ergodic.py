@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .cauchy import CauchyState, frozen_matrix, initial_state, solve_frozen, step_implicit_policy
 from .errors import ConfigError, NumericalError
@@ -109,6 +108,8 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
     hitting time of the anchor, so a node that never reaches the anchor
     makes the matrix singular.
     """
+    import scipy.sparse.linalg  # imported at first use, like in cauchy
+
     params = params or ErgodicSolverParams()
     anchor = _anchor(grid, params)
     n = grid.n

@@ -41,8 +41,13 @@ class UnboundVariableError(ConfigError):
 class DomainFaultError(NumericalError):
     """Evaluation hit a numeric domain fault (log of a nonpositive value,
     zero to a negative power, division by zero, non-integer power of a
-    negative base, overflow)."""
+    negative base, overflow).  ``point`` holds the bindings at the first
+    point where the fault occurs."""
 
-    def __init__(self, message: str, expression: str):
-        super().__init__(f"{message} in '{expression}'")
+    def __init__(self, message: str, expression: str, point: dict | None = None):
+        where = ""
+        if point:
+            where = " at " + ", ".join(f"{k}={v!r}" for k, v in sorted(point.items()))
+        super().__init__(f"{message} in '{expression}'{where}")
         self.expression = expression
+        self.point = point

@@ -19,9 +19,15 @@ spelling.
 Available calls: exp, log, sin, cos, abs (unary), min, max, pow (binary).
 There is no implicit multiplication and no user-defined functions.
 
-Trees are immutable; evaluation is deterministic (identical tree and
-bindings give a bit-identical IEEE double) and never returns a silent
-NaN: domain faults are raised as :class:`DomainFaultError`.
+Trees are immutable.  :func:`evaluate` walks a tree once over arrays of
+bindings with numpy ufuncs, so a coefficient is evaluated at every point
+of a grid or a sample set in one pass.  Float bindings are evaluated as
+1-element arrays: the value at a point is bit-identical whether the
+point is evaluated alone or inside any array (a numpy *scalar* would
+take a different power routine and differ in the last ulp).  Evaluation
+never returns a silent NaN: a domain fault anywhere in the array raises
+:class:`DomainFaultError` naming the sub-expression and the first bad
+point.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ArityError,
@@ -239,43 +247,59 @@ def free_vars(e: Expr) -> set[str]:
     return set().union(*(free_vars(a) for a in e.args))
 
 
-def _power(base: float, exponent: float, node: Expr) -> float:
-    if base < 0.0 and not float(exponent).is_integer():
-        raise DomainFaultError("non-integer power of a negative base", pretty(node))
-    if base == 0.0 and exponent < 0.0:
-        raise DomainFaultError("zero raised to a negative power", pretty(node))
-    try:
-        return math.pow(base, exponent)
-    except (OverflowError, ValueError):
-        raise DomainFaultError("power overflow", pretty(node)) from None
+def evaluate(e: Expr, bindings: dict):
+    """Evaluate ``e`` under ``bindings`` with numpy ufuncs.
 
-
-def evaluate(e: Expr, bindings: dict[str, float]) -> float:
-    """Evaluate ``e`` under ``bindings`` as an IEEE double.
-
-    Domain faults (log of a nonpositive number, division by zero,
-    0^negative, overflow) raise :class:`DomainFaultError` naming the
-    offending sub-expression; they never propagate as NaN.
+    Each binding is a float or an array; arrays broadcast against each
+    other and the result is an array of their common shape.  With float
+    bindings only, the result is a float.  Domain faults (division by
+    zero, 0^negative, a non-integer power of a negative base, log of a
+    nonpositive value, overflow, NaN) are checked over the whole array
+    and raise :class:`DomainFaultError` naming the offending
+    sub-expression and the first point where it occurs.
     """
-    result = _eval(e, bindings)
-    if math.isnan(result):
-        raise DomainFaultError("evaluation produced NaN", pretty(e))
-    return result
+    values = {name: np.asarray(v, dtype=float) for name, v in bindings.items()}
+    shape = np.broadcast_shapes(*(v.shape for v in values.values()))
+    env = {name: np.broadcast_to(v, shape).flatten() for name, v in values.items()}
+    size = math.prod(shape) if shape else 1
+    with np.errstate(all="ignore"):
+        result = _eval(e, env, size)
+        _check(np.isnan(result), "evaluation produced NaN", e, env)
+    return float(result[0]) if shape == () else result.reshape(shape)
 
 
-def _eval(e: Expr, bindings: dict[str, float]) -> float:
+def _check(bad: np.ndarray, message: str, node: Expr, env: dict) -> None:
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainFaultError(message, pretty(node), {k: float(v[i]) for k, v in env.items()})
+
+
+def _power(base: np.ndarray, exponent: np.ndarray, node: Expr, env: dict) -> np.ndarray:
+    integral = np.isfinite(exponent) & (np.floor(exponent) == exponent)
+    _check((base < 0.0) & ~integral, "non-integer power of a negative base", node, env)
+    _check((base == 0.0) & (exponent < 0.0), "zero raised to a negative power", node, env)
+    r = np.power(base, exponent)
+    _check(np.isinf(r) & np.isfinite(base) & np.isfinite(exponent), "power overflow", node, env)
+    return r
+
+
+_UNARY = {"log": np.log, "sin": np.sin, "cos": np.cos, "abs": np.abs}
+
+
+def _eval(e: Expr, env: dict, size: int) -> np.ndarray:
     if isinstance(e, Num):
-        return e.value
+        # a full array, never a numpy scalar: see the module docstring
+        return np.full(size, e.value)
     if isinstance(e, Var):
         try:
-            return float(bindings[e.name])
+            return env[e.name]
         except KeyError:
             raise UnboundVariableError(f"variable {e.name!r} is not bound") from None
     if isinstance(e, Neg):
-        return -_eval(e.arg, bindings)
+        return -_eval(e.arg, env, size)
     if isinstance(e, Bin):
-        a = _eval(e.lhs, bindings)
-        b = _eval(e.rhs, bindings)
+        a = _eval(e.lhs, env, size)
+        b = _eval(e.rhs, env, size)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -283,36 +307,27 @@ def _eval(e: Expr, bindings: dict[str, float]) -> float:
         if e.op == "*":
             r = a * b
         elif e.op == "/":
-            if b == 0.0:
-                raise DomainFaultError("division by zero", pretty(e))
+            _check(b == 0.0, "division by zero", e, env)
             r = a / b
         else:
-            r = _power(a, b, e)
-        if math.isinf(r):
-            raise DomainFaultError("overflow", pretty(e))
+            r = _power(a, b, e, env)
+        _check(np.isinf(r), "overflow", e, env)
         return r
     # Call
-    args = [_eval(a, bindings) for a in e.args]
+    args = [_eval(a, env, size) for a in e.args]
     if e.fn == "exp":
-        try:
-            return math.exp(args[0])
-        except OverflowError:
-            raise DomainFaultError("exp overflow", pretty(e)) from None
+        r = np.exp(args[0])
+        _check(np.isinf(r) & np.isfinite(args[0]), "exp overflow", e, env)
+        return r
     if e.fn == "log":
-        if args[0] <= 0.0:
-            raise DomainFaultError("log of a nonpositive value", pretty(e))
-        return math.log(args[0])
-    if e.fn == "sin":
-        return math.sin(args[0])
-    if e.fn == "cos":
-        return math.cos(args[0])
-    if e.fn == "abs":
-        return abs(args[0])
+        _check(args[0] <= 0.0, "log of a nonpositive value", e, env)
+    if e.fn in _UNARY:
+        return _UNARY[e.fn](args[0])
     if e.fn == "min":
-        return min(args)
+        return np.minimum(args[0], args[1])
     if e.fn == "max":
-        return max(args)
-    return _power(args[0], args[1], e)
+        return np.maximum(args[0], args[1])
+    return _power(args[0], args[1], e, env)
 
 
 # precedence levels used by the printer; atoms sit above everything

@@ -9,6 +9,9 @@ boundary distance, its gradient and its Hessian are analytic:
   boundary collar ever uses it);
 * disk of radius R around c: d = R - |x - c|, Dd = -(x - c)/|x - c|,
   D2d = -(I - n n^T)/|x - c| with n the unit radial direction.
+
+The point functions take one point or a block of points (m, N) and
+return per-point values of the matching shape.
 """
 
 from __future__ import annotations
@@ -66,57 +69,109 @@ def collar_width(dom: Domain) -> float:
     return 0.5 * inradius(dom)
 
 
-def distance_value(dom: Domain, x) -> float:
+def as_points(dom: Domain, x) -> tuple[np.ndarray, bool]:
+    """``x`` as an (m, N) block of points, and whether it was one point.
+
+    One point is a scalar or a length-N vector; a block is (m, N).
+    """
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim < 2
+    pts = pts.reshape(1, -1) if single else pts
+    if pts.ndim != 2 or pts.shape[1] != dim(dom):
+        raise ConfigError(f"points must have {dim(dom)} coordinates, got shape {np.shape(x)}")
+    return pts, single
+
+
+def _radius(dom: Disk, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    delta = pts - np.asarray(dom.center, dtype=float)
+    return delta, np.hypot(delta[:, 0], delta[:, 1])
+
+
+def distance_value(dom: Domain, x):
     """Boundary distance alone; valid on the closed domain (d = 0 on the
-    boundary is allowed, unlike :func:`distance`)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    boundary is allowed, unlike :func:`distance`).  A float for one
+    point, an (m,) array for a block of points."""
+    pts, single = as_points(dom, x)
     if isinstance(dom, Interval):
-        d = min(x[0] - dom.x_lo, dom.x_hi - x[0])
+        d = np.minimum(pts[:, 0] - dom.x_lo, dom.x_hi - pts[:, 0])
     else:
-        d = dom.radius - float(np.hypot(x[0] - dom.center[0], x[1] - dom.center[1]))
-    if d < -1e-12 * diameter(dom):
-        raise ConfigError(f"point {x.tolist()} lies outside the domain")
-    return max(d, 0.0)
+        d = dom.radius - _radius(dom, pts)[1]
+    outside = d < -1e-12 * diameter(dom)
+    if outside.any():
+        raise ConfigError(f"point {pts[np.argmax(outside)].tolist()} lies outside the domain")
+    d = np.maximum(d, 0.0)
+    return float(d[0]) if single else d
 
 
 def distance(dom: Domain, x):
-    """Distance triple (d, Dd, D2d) at a strictly interior point.
+    """Distance triple (d, Dd, D2d) at strictly interior points.
 
-    Raises :class:`ConfigError` for points outside the domain and for the
+    For one point: a float, an (N,) and an (N, N) array.  For a block of
+    points (m, N): arrays of shape (m,), (m, N) and (m, N, N).  Raises
+    :class:`ConfigError` if any point lies outside the domain or at the
     disk center, where Dd is undefined.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    pts, single = as_points(dom, x)
+    m = len(pts)
     if isinstance(dom, Interval):
-        left = x[0] - dom.x_lo
-        right = dom.x_hi - x[0]
-        if left <= 0 or right <= 0:
-            raise ConfigError(f"point {x[0]} is not strictly inside ({dom.x_lo}, {dom.x_hi})")
+        left = pts[:, 0] - dom.x_lo
+        right = dom.x_hi - pts[:, 0]
+        outside = (left <= 0) | (right <= 0)
+        if outside.any():
+            raise ConfigError(
+                f"point {pts[np.argmax(outside), 0]} is not strictly inside ({dom.x_lo}, {dom.x_hi})"
+            )
         # tie at the midpoint resolves to the left branch
-        if left <= right:
-            return left, np.array([1.0]), np.zeros((1, 1))
-        return right, np.array([-1.0]), np.zeros((1, 1))
-
-    delta = x - np.asarray(dom.center, dtype=float)
-    r = float(np.hypot(delta[0], delta[1]))
-    if r >= dom.radius:
-        raise ConfigError(f"point {x.tolist()} is not strictly inside the disk")
-    if r == 0.0:
-        raise ConfigError("distance gradient is undefined at the disk center")
-    n = delta / r
-    d2 = -(np.eye(2) - np.outer(n, n)) / r
-    return dom.radius - r, -n, d2
+        on_left = left <= right
+        d = np.where(on_left, left, right)
+        Dd = np.where(on_left, 1.0, -1.0)[:, None]
+        D2d = np.zeros((m, 1, 1))
+    else:
+        delta, r = _radius(dom, pts)
+        outside = r >= dom.radius
+        if outside.any():
+            raise ConfigError(f"point {pts[np.argmax(outside)].tolist()} is not strictly inside the disk")
+        if (r == 0.0).any():
+            raise ConfigError("distance gradient is undefined at the disk center")
+        n = delta / r[:, None]
+        D2d = -(np.eye(2) - n[:, :, None] * n[:, None, :]) / r[:, None, None]
+        d, Dd = dom.radius - r, -n
+    if single:
+        return float(d[0]), Dd[0], D2d[0]
+    return d, Dd, D2d
 
 
 def boundary_foot(dom: Domain, x):
-    """Nearest boundary point to ``x`` and the inward unit normal there."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Nearest boundary point to ``x`` and the inward unit normal there
+    (arrays of shape (m, N) for a block of points)."""
+    pts, single = as_points(dom, x)
     if isinstance(dom, Interval):
-        if x[0] - dom.x_lo <= dom.x_hi - x[0]:
-            return np.array([dom.x_lo]), np.array([1.0])
-        return np.array([dom.x_hi]), np.array([-1.0])
-    delta = x - np.asarray(dom.center, dtype=float)
-    r = float(np.hypot(delta[0], delta[1]))
-    if r == 0.0:
-        raise ConfigError("boundary foot is undefined at the disk center")
-    n = delta / r
-    return np.asarray(dom.center) + dom.radius * n, -n
+        on_left = (pts[:, 0] - dom.x_lo <= dom.x_hi - pts[:, 0])[:, None]
+        foot = np.where(on_left, dom.x_lo, dom.x_hi)
+        normal = np.where(on_left, 1.0, -1.0)
+    else:
+        delta, r = _radius(dom, pts)
+        if (r == 0.0).any():
+            raise ConfigError("boundary foot is undefined at the disk center")
+        n = delta / r[:, None]
+        foot, normal = np.asarray(dom.center) + dom.radius * n, -n
+    if single:
+        return foot[0], normal[0]
+    return foot, normal
+
+
+def collar_ladder(dom: Domain, d_min: float, d_max: float, n: int, directions: int = 16):
+    """Geometric ladder of n distances in [d_min, d_max] along each boundary ray.
+
+    The rays are the two sides of an interval, or ``directions`` equally
+    spaced radii of a disk.  Returns (points, ds): points of shape
+    (rays, n, N), ordered by increasing d along each ray, and ds (n,).
+    """
+    ds = np.geomspace(d_min, d_max, n)
+    if isinstance(dom, Interval):
+        pts = np.stack([dom.x_lo + ds, dom.x_hi - ds])[:, :, None]
+    else:
+        th = np.linspace(0.0, 2 * np.pi, directions, endpoint=False)
+        u = np.stack([np.cos(th), np.sin(th)], axis=1)
+        pts = np.asarray(dom.center) + (dom.radius - ds)[None, :, None] * u[:, None, :]
+    return pts, ds

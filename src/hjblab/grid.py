@@ -23,9 +23,15 @@ is discretized per control as a monotone linear stencil plus the cost:
   node is discretized one-sided inward and flagged.
 
 Grids are uniform: interior points of an interval, or the square-lattice
-points of a disk whose distance to the boundary is at least h.  All
-per-node, per-control coefficients are cached at build time, so applying
-the operator is a handful of vectorized array expressions.
+points of a disk whose distance to the boundary is at least h.  The build
+evaluates each control's coefficients once per point set (the nodes, the
+points x +- fd_step of the divergence difference, the face midpoints and
+the boundary feet) through the array evaluator of :mod:`hjblab.expr`, so
+the cached stencil entries are bit-identical to the pointwise
+``ControlProblem`` values.  Only diagonal diffusion is supported; a
+control with a nonzero off-diagonal entry of a at any node is refused
+with :class:`ConfigError`.  Applying the operator is a handful of
+vectorized array expressions over the cached tables.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from .errors import ConfigError
-from .problem import ControlProblem
+from .problem import ControlProblem, quadratic_form
 
 GridField = np.ndarray  # one real per node
 
@@ -123,72 +129,68 @@ class Grid:
         self.d = np.zeros(n)
         self.Dd = np.zeros((n, N))
         self.D2d = np.zeros((n, N, N))
-        for i in range(n):
-            x = self.x[i]
-            if isinstance(dom, geo.Disk) and np.allclose(x, dom.center):
-                # the gradient is undefined at the center; the node is far
-                # from the collar, nothing downstream uses these entries
-                self.d[i] = dom.radius
-                continue
-            self.d[i], self.Dd[i], self.D2d[i] = geo.distance(dom, x)
-
-    def _coeff_at(self, tree: ex.Expr, x) -> float:
-        return ex.evaluate(tree, self.problem.bindings(x))
-
-    def _a_component(self, ci: int, axis: int, x) -> float:
-        row = self.problem.controls[ci].sigma[axis]
-        return sum(self._coeff_at(e, x) ** 2 for e in row)
+        regular = np.ones(n, dtype=bool)
+        if isinstance(dom, geo.Disk):
+            # the gradient is undefined at the center; the node is far from
+            # the collar, nothing downstream uses its Dd and D2d entries
+            regular = ~np.isclose(self.x, dom.center).all(axis=1)
+            self.d[~regular] = dom.radius
+        self.d[regular], self.Dd[regular], self.D2d[regular] = geo.distance(dom, self.x[regular])
 
     def _build_stencils(self):
-        problem, h = self.problem, self.h
+        problem, h, x = self.problem, self.h, self.x
         n, N = self.n, self.ndim
         fd_step = 1e-6 * geo.diameter(self.domain)
         h2 = h * h
+        has = self._nbr >= 0
+        # nodes with a missing neighbor take their outer face from the
+        # normal diffusivity at the nearest boundary point
+        edge = ~has.all(axis=(1, 2))
+        foot, normal = geo.boundary_foot(self.domain, x[edge])
+        off_diagonal = ~np.eye(N, dtype=bool)
         self.controls: list[ControlStencil] = []
         for ci, control in enumerate(problem.controls):
-            b_raw = np.zeros((n, N))
-            a_diag = np.zeros((n, N))
-            lvals = np.zeros(n)
+            a = problem.diffusion(x, ci)
+            off = (a[:, off_diagonal] != 0.0).any(axis=1)
+            if off.any():
+                i = int(np.argmax(off))
+                raise ConfigError(
+                    f"control {control.label}: off-diagonal diffusion at node {i} "
+                    f"(x={x[i].tolist()}, a={a[i].tolist()}); the scheme supports diagonal a only"
+                )
+            b_raw = problem.drift(x, ci)
+            lvals = problem.cost(x, ci)
+            a_diag = np.diagonal(a, axis1=1, axis2=2).copy()
             div_a = np.zeros((n, N))
             face = np.zeros((n, N, 2))
-            clamped = np.zeros((n, N, 2), dtype=bool)
-            dropped = np.zeros((n, N, 2), dtype=bool)
-            for i in range(n):
-                x = self.x[i]
-                bd = problem.bindings(x)
-                b_raw[i] = [ex.evaluate(e, bd) for e in control.b]
-                lvals[i] = ex.evaluate(control.l, bd)
-                for k in range(N):
-                    a_diag[i, k] = self._a_component(ci, k, x)
-                    # centered difference of a_kk along axis k
-                    xp, xm = x.copy(), x.copy()
-                    xp[k] += fd_step
-                    xm[k] -= fd_step
-                    div_a[i, k] = (
-                        self._a_component(ci, k, xp) - self._a_component(ci, k, xm)
-                    ) / (2 * fd_step)
-                    for side, sign in ((0, -1.0), (1, 1.0)):
-                        if self._nbr[i, k, side] >= 0:
-                            xf = x.copy()
-                            xf[k] += sign * h / 2
-                            face[i, k, side] = self._a_component(ci, k, xf)
-                        else:
-                            foot, normal = geo.boundary_foot(self.domain, x)
-                            a_foot = problem.diffusion(foot, ci)
-                            nu = float(normal @ np.atleast_2d(a_foot) @ normal)
-                            if nu < h2:
-                                clamped[i, k, side] = True
-                                face[i, k, side] = 0.0
-                            else:
-                                dropped[i, k, side] = True
-                                face[i, k, side] = nu
+            for k in range(N):
+
+                def a_kk(pts):
+                    return problem.diffusion(pts, ci)[:, k, k]
+
+                # centered difference of a_kk along axis k
+                xp, xm = x.copy(), x.copy()
+                xp[:, k] += fd_step
+                xm[:, k] -= fd_step
+                div_a[:, k] = (a_kk(xp) - a_kk(xm)) / (2 * fd_step)
+                # face diffusivities at the midpoints towards existing neighbors
+                for side, sign in ((0, -1.0), (1, 1.0)):
+                    inner = has[:, k, side]
+                    xf = x[inner]
+                    xf[:, k] += sign * h / 2
+                    face[inner, k, side] = a_kk(xf)
+            nu = np.zeros(n)
+            nu[edge] = quadratic_form(problem.diffusion(foot, ci), normal)
+            small = (nu < h2)[:, None, None]
+            clamped = ~has & small
+            dropped = ~has & ~small
+            face = np.where(dropped, nu[:, None, None], face)
             if not np.isfinite(b_raw).all() or not np.isfinite(a_diag).all() or not np.isfinite(lvals).all():
                 raise ConfigError(f"control {control.label}: coefficients evaluate non-finite")
 
             bt = b_raw - div_a
             updir = np.where(bt >= 0.0, 1, -1).astype(np.int64)
-            has_minus = self._nbr[:, :, 0] >= 0
-            has_plus = self._nbr[:, :, 1] >= 0
+            has_minus, has_plus = has[:, :, 0], has[:, :, 1]
             forced = np.zeros((n, N), dtype=bool)
             # flip the upwind side where its neighbor is missing
             flip_to_plus = (updir == -1) & ~has_minus
@@ -224,8 +226,13 @@ class Grid:
             )
         # gather indices with missing neighbors redirected to the node itself,
         # so that (u[nbr] - u) vanishes there
-        self._gather_minus = np.where(self._nbr[:, :, 0] >= 0, self._nbr[:, :, 0], np.arange(n)[:, None])
-        self._gather_plus = np.where(self._nbr[:, :, 1] >= 0, self._nbr[:, :, 1], np.arange(n)[:, None])
+        self._gather_minus = np.where(has[:, :, 0], self._nbr[:, :, 0], np.arange(n)[:, None])
+        self._gather_plus = np.where(has[:, :, 1], self._nbr[:, :, 1], np.arange(n)[:, None])
+        # the stencil is fixed from here on: its worst explicit rate, for cfl_dt
+        self._max_rate = max(
+            float((np.sum(np.abs(cs.coef_minus), axis=1) + np.sum(np.abs(cs.coef_plus), axis=1)).max())
+            for cs in self.controls
+        )
 
     # -- queries -----------------------------------------------------------
 
@@ -244,7 +251,7 @@ class Grid:
         extra = ex.free_vars(tree) - ({"x1", "d"} if self.ndim == 1 else {"x1", "x2", "d"})
         if extra:
             raise ConfigError(f"initial field uses unavailable variable(s) {sorted(extra)}")
-        return np.array([ex.evaluate(tree, self.problem.bindings(x)) for x in self.x])
+        return ex.evaluate(tree, self.problem.bindings(self.x))
 
 
 def build_grid(problem: ControlProblem, h: float) -> Grid:
@@ -288,15 +295,11 @@ def cfl_dt(grid: Grid) -> float:
     """Largest explicit step that keeps every frozen-control update monotone.
 
     1 / max over nodes and controls of (sum of axis |bt|/h + sum of face
-    diffusivities / h^2); evaluated from the cached stencil coefficients.
+    diffusivities / h^2); the maximum is taken once, when the grid is built.
     """
-    worst = 0.0
-    for cs in grid.controls:
-        total = np.sum(np.abs(cs.coef_minus), axis=1) + np.sum(np.abs(cs.coef_plus), axis=1)
-        worst = max(worst, float(total.max()))
-    if worst == 0.0:
+    if grid._max_rate == 0.0:
         raise ConfigError("degenerate problem: the operator vanishes identically")
-    return 1.0 / worst
+    return 1.0 / grid._max_rate
 
 
 @dataclass

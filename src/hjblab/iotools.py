@@ -46,10 +46,10 @@ def field_csv(coords: np.ndarray, values: np.ndarray) -> str:
         raise ConfigError("coordinate and value lengths differ")
     ndim = coords.shape[1]
     header = ",".join(f"x{k + 1}" for k in range(ndim)) + ",value"
-    lines = [header]
-    for row, v in zip(coords, values):
-        lines.append(",".join(repr(float(c)) for c in row) + "," + repr(float(v)))
-    return "\n".join(lines) + "\n"
+    # repr of Python floats, column by column: the bytes of repr(float(c)) per cell
+    columns = [map(repr, col) for col in coords.T.astype(float).tolist()]
+    columns.append(map(repr, np.asarray(values, dtype=float).tolist()))
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def write_field_csv(path: str, coords, values) -> None:

@@ -3,6 +3,9 @@
 A :class:`ControlProblem` bundles a domain, a finite list of controls
 (each with drift b, diffusion factor sigma and running cost l given as
 expressions in x1, x2, d) and the regularity constants (B, eta, beta).
+Its coefficient methods take one point or a block of points (m, N) and
+go through the one array evaluator, so a point gets the same bits
+either way.
 
 :func:`validate_assumptions` checks, by sampling,
 
@@ -72,29 +75,41 @@ class ControlProblem:
     def dim(self) -> int:
         return geo.dim(self.domain)
 
-    def bindings(self, x) -> dict[str, float]:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        b = {"x1": float(x[0]), "d": geo.distance_value(self.domain, x)}
+    def bindings(self, x) -> dict:
+        """Variable bindings at one point (floats) or at a block of points
+        (m, N) (arrays of shape (m,))."""
+        pts, single = geo.as_points(self.domain, x)
+        b = {"x1": pts[:, 0], "d": geo.distance_value(self.domain, pts)}
         if self.dim == 2:
-            b["x2"] = float(x[1])
-        return b
+            b["x2"] = pts[:, 1]
+        return {k: float(v[0]) for k, v in b.items()} if single else b
+
+    def _values(self, trees, x) -> np.ndarray:
+        """The trees at one point, (len(trees),), or at a block of points,
+        (m, len(trees)); a point gets the same bits either way."""
+        pts, single = geo.as_points(self.domain, x)
+        bd = self.bindings(pts)
+        vals = np.stack([ex.evaluate(t, bd) for t in trees], axis=-1)
+        return vals[0] if single else vals
 
     def drift(self, x, ci: int) -> np.ndarray:
-        bd = self.bindings(x)
-        return np.array([ex.evaluate(e, bd) for e in self.controls[ci].b])
+        """b at one point, (N,), or at a block of points, (m, N)."""
+        return self._values(self.controls[ci].b, x)
 
     def sigma_matrix(self, x, ci: int) -> np.ndarray:
-        bd = self.bindings(x)
-        return np.array(
-            [[ex.evaluate(e, bd) for e in row] for row in self.controls[ci].sigma]
-        )
+        """sigma at one point, (N, r), or at a block of points, (m, N, r)."""
+        rows = self.controls[ci].sigma
+        vals = self._values([e for row in rows for e in row], x)
+        return vals.reshape(*vals.shape[:-1], len(rows), -1)
 
     def diffusion(self, x, ci: int) -> np.ndarray:
-        s = self.sigma_matrix(x, ci)
-        return s @ s.T
+        """a = sigma sigma^T at one point, (N, N), or at a block, (m, N, N)."""
+        return gram(self.sigma_matrix(x, ci))
 
-    def cost(self, x, ci: int) -> float:
-        return ex.evaluate(self.controls[ci].l, self.bindings(x))
+    def cost(self, x, ci: int):
+        """l at one point (a float) or at a block of points, (m,)."""
+        vals = self._values((self.controls[ci].l,), x)[..., 0]
+        return float(vals) if vals.ndim == 0 else vals
 
     def fingerprint(self) -> str:
         """Stable hash of the problem definition (used in run manifests)."""
@@ -114,6 +129,35 @@ def _domain_dict(dom: geo.Domain) -> dict:
     if isinstance(dom, geo.Interval):
         return {"kind": "interval", "x_lo": dom.x_lo, "x_hi": dom.x_hi}
     return {"kind": "disk", "center": list(dom.center), "radius": dom.radius}
+
+
+# Products of coefficient blocks, summed left to right in plain ufunc
+# arithmetic (no BLAS), so that a point gives the same bits whether it is
+# evaluated alone or inside a block.
+
+
+def rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of u and v along their last axis (broadcasting)."""
+    out = u[..., 0] * v[..., 0]
+    for k in range(1, u.shape[-1]):
+        out = out + u[..., k] * v[..., k]
+    return out
+
+
+def gram(s: np.ndarray) -> np.ndarray:
+    """a = s s^T for blocks of matrices (..., N, r)."""
+    return rowdot(s[..., :, None, :], s[..., None, :, :])
+
+
+def trace_product(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """tr(a c) for blocks of square matrices (..., N, N)."""
+    n = a.shape[-1]
+    return rowdot(a.reshape(*a.shape[:-2], n * n), np.swapaxes(c, -1, -2).reshape(*c.shape[:-2], n * n))
+
+
+def quadratic_form(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v^T a v for blocks of matrices (..., N, N) and vectors (..., N)."""
+    return rowdot(v, rowdot(a, v[..., None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -314,52 +358,27 @@ class ValidationReport:
         }
 
 
-def _collar_points(problem: ControlProblem, plan: SamplingPlan, delta: float):
-    """Sample points in the collar, geometric in d (denser near the boundary).
-
-    Returns (points, d_values) with points grouped per boundary side or
-    direction, ordered by increasing d within each group.
-    """
-    dom = problem.domain
-    d_min = plan.d_min_factor * geo.diameter(dom)
-    ds = np.geomspace(d_min, delta * (1 - 1e-9), plan.collar_per_side)
-    points, dvals = [], []
-    if isinstance(dom, geo.Interval):
-        for side in (0, 1):
-            for d in ds:
-                x = dom.x_lo + d if side == 0 else dom.x_hi - d
-                points.append(np.array([x]))
-                dvals.append(d)
-    else:
-        thetas = np.linspace(0.0, 2 * np.pi, plan.directions, endpoint=False)
-        c = np.asarray(dom.center)
-        for th in thetas:
-            u = np.array([np.cos(th), np.sin(th)])
-            for d in ds:
-                points.append(c + (dom.radius - d) * u)
-                dvals.append(d)
-    return points, np.array(dvals)
-
-
-def _interior_points(problem: ControlProblem, plan: SamplingPlan):
+def _interior_points(problem: ControlProblem, plan: SamplingPlan) -> np.ndarray:
     dom = problem.domain
     if isinstance(dom, geo.Interval):
         pad = 1e-3 * geo.diameter(dom)
-        xs = np.linspace(dom.x_lo + pad, dom.x_hi - pad, plan.interior)
-        return [np.array([x]) for x in xs]
-    c = np.asarray(dom.center)
-    pts = []
+        return np.linspace(dom.x_lo + pad, dom.x_hi - pad, plan.interior)[:, None]
     n_r = max(2, int(np.sqrt(plan.interior)))
-    for r in np.linspace(0.05 * dom.radius, 0.95 * dom.radius, n_r):
-        for th in np.linspace(0.0, 2 * np.pi, n_r, endpoint=False):
-            pts.append(c + r * np.array([np.cos(th), np.sin(th)]))
-    return pts
+    radii = np.linspace(0.05 * dom.radius, 0.95 * dom.radius, n_r)
+    th = np.linspace(0.0, 2 * np.pi, n_r, endpoint=False)
+    u = np.stack([np.cos(th), np.sin(th)], axis=1)
+    return (np.asarray(dom.center) + radii[:, None, None] * u[None, :, :]).reshape(-1, 2)
 
 
 def _loglog_slope(d: np.ndarray, v: np.ndarray) -> float:
     x, y = np.log(d), np.log(v)
     xc = x - x.mean()
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+
+
+def _first_point(values: np.ndarray, target: float) -> int:
+    """First sample (axis 1) at which any control (axis 0) attains ``target``."""
+    return int(np.argmax((values == target).any(axis=0)))
 
 
 def validate_assumptions(
@@ -371,78 +390,87 @@ def validate_assumptions(
     entries with a witness point, never exceptions.
 
     The report is monotone in ``tol``: a pass at some tolerance is a pass
-    at any larger one.
+    at any larger one.  Each control's coefficients are evaluated once,
+    over all sample points together.
     """
     plan = plan or SamplingPlan()
     reg = problem.reg
     dom = problem.domain
+    n_controls = len(problem.controls)
     delta_cert = 0.8 * geo.collar_width(dom)
     checks: list[CheckResult] = []
 
-    collar_pts, collar_d = _collar_points(problem, plan, delta_cert)
+    # collar samples: geometric in d (denser near the boundary), grouped per
+    # boundary side or direction, ordered by increasing d within each group
+    rays, ds = geo.collar_ladder(
+        dom, plan.d_min_factor * geo.diameter(dom), delta_cert * (1 - 1e-9),
+        plan.collar_per_side, plan.directions,
+    )
+    collar_pts = rays.reshape(-1, problem.dim)
+    collar_d = np.tile(ds, len(rays))
     interior_pts = _interior_points(problem, plan)
-    all_pts = interior_pts + collar_pts
+    n_int = len(interior_pts)
+    all_pts = np.concatenate([interior_pts, collar_pts])
+    coeffs = [
+        (problem.drift(all_pts, ci), problem.sigma_matrix(all_pts, ci), problem.cost(all_pts, ci))
+        for ci in range(n_controls)
+    ]
 
     # (i) Hoelder ratios for b, l (exponent eta) and sigma (exponent beta)
     rng = np.random.default_rng(plan.seed)
-    idx = np.arange(len(all_pts))
-    pair_idx = [(i, j) for i, j in zip(idx[:-1], idx[1:])]
-    for _ in range(plan.pairs):
-        i, j = rng.integers(0, len(all_pts), size=2)
-        if i != j:
-            pair_idx.append((int(i), int(j)))
+    drawn = np.array([rng.integers(0, len(all_pts), size=2) for _ in range(plan.pairs)]).reshape(-1, 2)
+    drawn = drawn[drawn[:, 0] != drawn[:, 1]]
+    consecutive = np.arange(len(all_pts) - 1)
+    pi = np.concatenate([consecutive, drawn[:, 0]])
+    pj = np.concatenate([consecutive + 1, drawn[:, 1]])
+    diff = all_pts[pi] - all_pts[pj]
+    gap = np.sqrt(rowdot(diff, diff))
+    pi, pj, gap = pi[gap != 0.0], pj[gap != 0.0], gap[gap != 0.0]
 
-    worst = {"b": (0.0, None), "l": (0.0, None), "sigma": (0.0, None)}
-    for i, j in pair_idx:
-        x, y = all_pts[i], all_pts[j]
-        gap = float(np.linalg.norm(x - y))
-        if gap == 0.0:
-            continue
-        for ci in range(len(problem.controls)):
-            rb = float(np.linalg.norm(problem.drift(x, ci) - problem.drift(y, ci))) / gap**reg.eta
-            rl = abs(problem.cost(x, ci) - problem.cost(y, ci)) / gap**reg.eta
-            rs = float(
-                np.linalg.norm(problem.sigma_matrix(x, ci) - problem.sigma_matrix(y, ci))
-            ) / gap**reg.beta
-            for key, r in (("b", rb), ("l", rl), ("sigma", rs)):
-                if r > worst[key][0]:
-                    worst[key] = (r, [x.tolist(), y.tolist()])
+    def norms(v: np.ndarray) -> np.ndarray:
+        flat = v.reshape(len(v), -1)
+        return np.sqrt(rowdot(flat, flat))
+
+    ratios = {
+        "b": np.array([norms(b[pi] - b[pj]) / gap**reg.eta for b, _, _ in coeffs]),
+        "l": np.array([np.abs(l[pi] - l[pj]) / gap**reg.eta for _, _, l in coeffs]),
+        "sigma": np.array([norms(s[pi] - s[pj]) / gap**reg.beta for _, s, _ in coeffs]),
+    }
     bound = reg.B * (1.0 + tol)
     for key in ("b", "l", "sigma"):
-        r, wit = worst[key]
+        r = float(ratios[key].max(initial=0.0))
+        wit = None
+        if r > bound:
+            p = _first_point(ratios[key], r)
+            wit = [all_pts[pi[p]].tolist(), all_pts[pj[p]].tolist()]
         checks.append(
             CheckResult(
                 name=f"hoelder_{key}",
                 passed=r <= bound,
                 detail={"max_ratio": r, "bound": reg.B, "tolerance": tol},
-                witness=None if r <= bound else wit,
+                witness=wit,
             )
         )
 
     # (ii) interior ellipticity
-    min_eig, eig_wit = np.inf, None
-    for x in interior_pts:
-        for ci in range(len(problem.controls)):
-            lam = float(np.linalg.eigvalsh(np.atleast_2d(problem.diffusion(x, ci)))[0])
-            if lam < min_eig:
-                min_eig, eig_wit = lam, x.tolist()
+    diffusions = [gram(s) for _, s, _ in coeffs]
+    lam = np.array([np.linalg.eigvalsh(a[:n_int])[:, 0] for a in diffusions])
+    min_eig = float(lam.min())
     checks.append(
         CheckResult(
             name="interior_ellipticity",
             passed=min_eig > 0.0,
             detail={"min_eigenvalue": min_eig},
-            witness=None if min_eig > 0.0 else eig_wit,
+            witness=None if min_eig > 0.0 else interior_pts[_first_point(lam, min_eig)].tolist(),
         )
     )
 
     # (iii) boundary degeneracy: residual at the deepest samples + rate fit
-    normal_res = np.zeros(len(collar_pts))
-    for i, x in enumerate(collar_pts):
-        _, Dd, _ = geo.distance(dom, x)
-        normal_res[i] = max(
-            float(np.linalg.norm(problem.sigma_matrix(x, ci).T @ Dd))
-            for ci in range(len(problem.controls))
-        )
+    _, Dd, D2d = geo.distance(dom, collar_pts)
+    normal_res = np.max(
+        [norms(rowdot(np.swapaxes(s[n_int:], -1, -2), Dd[:, None, :])) for _, s, _ in coeffs],
+        axis=0,
+    )
     d_min = collar_d.min()
     ring = collar_d <= d_min * (1 + 1e-9)
     boundary_residual = float(normal_res[ring].max())
@@ -470,13 +498,10 @@ def validate_assumptions(
     )
 
     # (iv) inward drift bound on the collar
-    drift_vals = np.zeros(len(collar_pts))
-    for i, x in enumerate(collar_pts):
-        _, Dd, D2d = geo.distance(dom, x)
-        drift_vals[i] = min(
-            float(problem.drift(x, ci) @ Dd + np.trace(problem.diffusion(x, ci) @ D2d))
-            for ci in range(len(problem.controls))
-        )
+    drift_vals = np.min(
+        [rowdot(b[n_int:], Dd) + trace_product(a[n_int:], D2d) for (b, _, _), a in zip(coeffs, diffusions)],
+        axis=0,
+    )
     positive = drift_vals > 0
     certificate = None
     if positive.all():
@@ -485,7 +510,7 @@ def validate_assumptions(
         gamma = round(_loglog_slope(collar_d[near], drift_vals[near]), 3) + 0.0
         k = float(np.min(drift_vals / collar_d**gamma))
         drift_ok = k > 0.0 and gamma < 2 * reg.beta - 1
-        order = np.argsort(collar_d)
+        order = np.argsort(collar_d, kind="stable")  # ties in ray order on every platform
         table = [
             (float(collar_d[i]), float(drift_vals[i]))
             for i in order[:: max(1, len(order) // 24)]

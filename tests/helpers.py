@@ -58,3 +58,12 @@ def flat_config() -> dict:
         "controls": [{"b": ["0"], "sigma": [["0"]], "l": "x1"}],
         "regularity": {"B": 2.0, "eta": 1.0, "beta": 1.0},
     }
+
+
+def disk_config() -> dict:
+    """The unit disk with b = -x, sigma = d I and l = x1^2."""
+    return {
+        "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+        "controls": [{"b": ["-x1", "-x2"], "sigma": [["d", "0"], ["0", "d"]], "l": "x1^2"}],
+        "regularity": {"B": 2.0, "eta": 1.0, "beta": 1.0},
+    }

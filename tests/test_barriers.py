@@ -137,3 +137,17 @@ def test_spec_mandated_barrier_width_is_not_attainable_exactly():
     already above -1, so no width near 0.25 can verify pointwise."""
     val = eval_F_radial(SMOOTH, BarrierProfile(0.5), [0.2])
     assert val > -1.0
+
+
+def test_block_evaluation_matches_pointwise():
+    disk = hj.assemble_problem(helpers.disk_config())
+    cases = [
+        (helpers.problem("degenerateB"), np.geomspace(1e-6, 0.24, 40)[:, None]),
+        (helpers.problem("twoControlA"), 1.0 - np.geomspace(1e-6, 0.24, 40)[:, None]),
+        (disk, np.stack([np.linspace(0.55, 0.99, 40), np.linspace(-0.1, 0.1, 40)], axis=1)),
+    ]
+    for p, pts in cases:
+        for prof in (LyapunovProfile(1.0), BarrierProfile(0.3)):
+            block = eval_F_radial(p, prof, pts)
+            assert block.shape == (40,)
+            assert np.array_equal(block, [eval_F_radial(p, prof, x) for x in pts])

@@ -67,6 +67,32 @@ def test_missing_config_exits_two_without_output(tmp_path):
     assert not out.exists()
 
 
+def test_solve_off_diagonal_diffusion_exits_two(tmp_path):
+    cfg = helpers.disk_config()
+    cfg["controls"][0]["sigma"] = [["d", "0"], ["d", "d"]]
+    path = tmp_path / "offdiag.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    res = run_cli("solve", str(path), "--h", "0.125", "--T", "0.1", "--out", str(out))
+    assert res.returncode == 2
+    assert "off-diagonal" in res.stderr
+    assert not out.exists()
+
+
+def test_validate_and_certify_leave_scipy_unloaded(tmp_path):
+    script = (
+        "import sys\n"
+        "from hjblab.cli import run\n"
+        f"assert run(['validate', {preset_path('smoothA')!r}, '--out', {str(tmp_path / 'v')!r}]) == 0\n"
+        f"assert run(['certify', {preset_path('smoothA')!r}, '--family', 'lyapunov', '--param', '1',"
+        f" '--M', '10', '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 def test_bad_flag_exits_two():
     res = run_cli("certify", preset_path("smoothA"))
     assert res.returncode == 2

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -150,3 +151,38 @@ def test_pretty_fixed_cases():
     for src in ("x1^2+3*x1", "-(x1*x2)", "-x1*x2", "2^3^2", "x1-(x2-d)", "min(d,x2)^0.5"):
         tree = parse(src)
         assert repr(parse(pretty(tree))) == repr(tree)
+
+
+def test_array_fault_names_subexpression_and_first_bad_point():
+    x1 = np.linspace(0.1, 1.0, 50)
+    x1[17] = x1[31] = 0.0
+    with pytest.raises(DomainFaultError) as err:
+        evaluate(parse("2 + 1/x1"), {"x1": x1, "d": np.arange(50.0)})
+    assert err.value.expression == "1.0/x1"
+    assert err.value.point == {"x1": 0.0, "d": 17.0}
+    d = np.full(40, 0.25)
+    d[3] = -1.0
+    with pytest.raises(DomainFaultError) as err:
+        evaluate(parse("x1 + d^0.75"), {"x1": np.arange(40.0), "d": d})
+    assert err.value.expression == "d^0.75"
+    assert err.value.point == {"x1": 3.0, "d": -1.0}
+    assert "x1=3.0" in str(err.value)
+
+
+def test_array_and_pointwise_evaluation_agree_bit_for_bit():
+    rng = np.random.default_rng(3)
+    x1 = rng.uniform(1e-9, 1.0, 2000)
+    d = rng.uniform(1e-9, 0.5, 2000)
+    for src in ("(x1*(1-x1))^0.4*(1-2*x1)", "(x1*(1-x1))^0.75", "exp(sin(x1)*d) - d^0.3/(1+x1)",
+                "log(d)*cos(x1) + pow(d, 1.5)", "min(x1, d) - max(x1^2, abs(d-0.2))"):
+        tree = parse(src)
+        batch = evaluate(tree, {"x1": x1, "d": d})
+        single = np.array([evaluate(tree, {"x1": float(a), "d": float(b)}) for a, b in zip(x1, d)])
+        assert batch.shape == (2000,)
+        assert np.array_equal(batch, single), src
+
+
+def test_result_shapes():
+    assert isinstance(ev("x1 + 1", x1=2.0), float)
+    assert evaluate(parse("3"), {"x1": np.zeros(4)}).tolist() == [3.0] * 4
+    assert evaluate(parse("x1*d"), {"x1": np.ones((2, 3)), "d": 2.0}).shape == (2, 3)

@@ -89,3 +89,31 @@ def test_boundary_foot():
 def test_midpoint_tie_is_left_branch():
     d, Dd, _ = distance(UNIT, [0.5])
     assert d == 0.5 and Dd[0] == 1.0
+
+
+def test_distance_batch_matches_pointwise():
+    rng = np.random.default_rng(4)
+    cases = [
+        (UNIT, rng.uniform(0.001, 0.999, (300, 1))),
+        (DISK, rng.uniform(-0.7, 0.7, (300, 2))),
+    ]
+    for dom, pts in cases:
+        d, Dd, D2d = distance(dom, pts)
+        assert d.shape == (300,) and Dd.shape == pts.shape and D2d.shape == (300, *pts.shape[1:], pts.shape[1])
+        dv = distance_value(dom, pts)
+        foot, normal = boundary_foot(dom, pts)
+        for i, x in enumerate(pts):
+            di, Ddi, D2di = distance(dom, x)
+            assert d[i] == di and np.array_equal(Dd[i], Ddi) and np.array_equal(D2d[i], D2di)
+            assert dv[i] == distance_value(dom, x)
+            fi, ni = boundary_foot(dom, x)
+            assert np.array_equal(foot[i], fi) and np.array_equal(normal[i], ni)
+
+
+def test_distance_batch_refuses_any_bad_point():
+    with pytest.raises(ConfigError):
+        distance(UNIT, np.array([[0.2], [0.5], [1.0]]))
+    with pytest.raises(ConfigError):
+        distance(DISK, np.array([[0.2, 0.1], [0.0, 0.0]]))
+    with pytest.raises(ConfigError):
+        distance_value(DISK, np.array([[0.2, 0.1], [1.5, 0.0]]))

@@ -3,6 +3,7 @@ import pytest
 
 import helpers
 import hjblab as hj
+from hjblab.cauchy import initial_state
 from hjblab.errors import ConfigError
 from hjblab.grid import control_values, maximizing_policy, stencil_report
 
@@ -35,14 +36,47 @@ def test_disk_five_nodes():
 
 
 def test_cached_coefficients_match_direct_evaluation():
-    p = helpers.problem("twoControlA")
-    g = helpers.grid("twoControlA", 0.05)
-    for ci in range(2):
-        cs = g.controls[ci]
-        for i in range(g.n):
-            assert cs.l[i] == p.cost(g.x[i], ci)
-            assert cs.b_raw[i, 0] == p.drift(g.x[i], ci)[0]
-            assert cs.a_diag[i, 0] == p.diffusion(g.x[i], ci)[0, 0]
+    # one evaluator: the grid caches equal the pointwise API bit for bit,
+    # also for fractional powers (degenerateB: 0.4 and 0.75) and on a disk
+    cases = [
+        (helpers.problem("twoControlA"), 0.05),
+        (helpers.problem("degenerateB"), 0.05),
+        (hj.assemble_problem(helpers.disk_config()), 0.125),
+    ]
+    for p, h in cases:
+        g = hj.build_grid(p, h)
+        for ci, cs in enumerate(g.controls):
+            for i in range(g.n):
+                assert cs.l[i] == p.cost(g.x[i], ci)
+                assert np.array_equal(cs.b_raw[i], p.drift(g.x[i], ci))
+                a = p.diffusion(g.x[i], ci)
+                assert np.array_equal(cs.a_diag[i], np.diagonal(a))
+                for k in range(g.ndim):
+                    if g._nbr[i, k, 1] >= 0:
+                        xf = g.x[i].copy()
+                        xf[k] += h / 2
+                        assert cs.face[i, k, 1] == p.diffusion(xf, ci)[k, k]
+
+
+def test_off_diagonal_diffusion_refused():
+    cfg = helpers.disk_config()
+    cfg["controls"][0]["sigma"] = [["d", "0"], ["d", "d"]]
+    with pytest.raises(ConfigError, match="off-diagonal"):
+        hj.build_grid(hj.assemble_problem(cfg), 0.125)
+
+
+def test_cfl_dt_is_fixed_at_build():
+    g = helpers.grid("smoothA", 0.01)
+    rate = max(
+        float((np.abs(cs.coef_minus).sum(axis=1) + np.abs(cs.coef_plus).sum(axis=1)).max())
+        for cs in g.controls
+    )
+    assert hj.cfl_dt(g) == 1.0 / rate
+    flat = hj.build_grid(hj.assemble_problem(helpers.flat_config()), 0.1)
+    with pytest.raises(ConfigError, match="vanishes"):
+        hj.cfl_dt(flat)
+    with pytest.raises(ConfigError, match="vanishes"):
+        hj.step_explicit(flat, initial_state(flat, np.zeros(flat.n)), 0.1)
 
 
 def test_apply_H_constant_field():
