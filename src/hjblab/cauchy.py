@@ -37,6 +37,7 @@ class CauchyState:
     u0_sup: float
     l_sup: float
     step_count: int = 0
+    sweeps: int = 0  # Howard sweeps of the implicit step that produced this state
 
     def check_bound(self):
         bound = self.u0_sup + self.l_sup * self.t
@@ -87,14 +88,17 @@ def frozen_matrix(
 
     ``(A_policy u)_i = sum of coef * (u_nbr - u_i)`` over the stencil of
     the control ``policy[i]``, so ``control_values(grid, u)[policy[i], i]``
-    is ``(A_policy u)_i - l``.  With ``pin`` the row of that node becomes
-    the identity row.  Returned in the form :func:`solve_frozen` takes:
-    the (3, n) band of ``scipy.linalg.solve_banded`` in 1-D, CSR in 2-D.
+    is ``(A_policy u)_i - l``.  Row i takes its coefficients from the
+    stacked tables ``grid.coef_minus`` and ``grid.coef_plus``
+    (n_controls, n, N) at ``[policy[i], i]``, one fancy index for all
+    rows.  With ``pin`` the row of that node becomes the identity row.
+    Returned in the form :func:`solve_frozen` takes: the (3, n) band of
+    ``scipy.linalg.solve_banded`` in 1-D, CSR in 2-D.
     """
     n = grid.n
     rows = np.arange(n)
-    cm = np.stack([cs.coef_minus for cs in grid.controls])[policy, rows, :]
-    cp = np.stack([cs.coef_plus for cs in grid.controls])[policy, rows, :]
+    cm = grid.coef_minus[policy, rows]
+    cp = grid.coef_plus[policy, rows]
     diag = shift - scale * (cm.sum(axis=1) + cp.sum(axis=1))
     if pin is not None:
         cm[pin] = cp[pin] = 0.0
@@ -154,11 +158,10 @@ def howard_solve(
     if not dt > 0:
         raise ConfigError("dt must be positive")
     scale = max(1.0, float(np.abs(u_old).max()), grid.l_sup() * dt)
-    lvals = np.stack([cs.l for cs in grid.controls])
     policy = np.argmax(control_values(grid, u_old), axis=0)
     last_residual = np.inf
     for sweep in range(1, max_sweeps + 1):
-        rhs = u_old + dt * lvals[policy, np.arange(grid.n)]
+        rhs = u_old + dt * grid.l[policy, np.arange(grid.n)]
         u = solve_frozen(grid, frozen_matrix(grid, policy, scale=dt, shift=1.0), rhs)
         vals = control_values(grid, u)
         new_policy = np.argmax(vals, axis=0)
@@ -181,8 +184,8 @@ def step_implicit_policy(
 ) -> CauchyState:
     """One backward Euler step by Howard policy iteration; monotone for
     any dt because each frozen-control matrix is an M-matrix."""
-    u, _, _ = howard_solve(grid, state.u, dt, max_sweeps, residual_tol)
-    return CauchyState(state.t + dt, u, state.u0_sup, state.l_sup, state.step_count + 1)
+    u, sweeps, _ = howard_solve(grid, state.u, dt, max_sweeps, residual_tol)
+    return CauchyState(state.t + dt, u, state.u0_sup, state.l_sup, state.step_count + 1, sweeps)
 
 
 def evolve(
@@ -199,7 +202,9 @@ def evolve(
     ``"implicit"`` (dt required, no stability restriction).  Snapshot
     cadence is simulation-time driven; the initial field is always the
     first snapshot.  NaNs abort with the offending node; the a-priori
-    bound is enforced at every snapshot.
+    bound is enforced at every snapshot.  The metadata records the step
+    count and, in implicit mode, the total and the largest number of
+    Howard sweeps per step.
     """
     if not T > 0:
         raise ConfigError("T must be positive")
@@ -226,6 +231,7 @@ def evolve(
             "l_sup": state.l_sup,
         },
     )
+    total_sweeps = max_sweeps = 0
     for js in range(1, n_snaps + 1):
         target = min(js * snapshot_every, T)
         span = target - state.t
@@ -236,6 +242,8 @@ def evolve(
                 state = step_explicit(grid, state, sub)
             else:
                 state = step_implicit_policy(grid, state, sub)
+                total_sweeps += state.sweeps
+                max_sweeps = max(max_sweeps, state.sweeps)
             if not np.isfinite(state.u).all():
                 bad = int(np.argmax(~np.isfinite(state.u)))
                 raise NumericalError(
@@ -245,4 +253,8 @@ def evolve(
         state.check_bound()
         traj.times.append(state.t)
         traj.snapshots.append(state.u.copy())
+    traj.metadata["steps"] = state.step_count
+    if mode == "implicit":
+        traj.metadata["howard_sweeps"] = total_sweeps
+        traj.metadata["max_howard_sweeps"] = max_sweeps
     return traj

@@ -232,8 +232,9 @@ def _dispatch(args, config: dict, problem) -> int:
             {**traj.metadata, "times": traj.times},
         )
         iotools.write_json(os.path.join(out, "stencil.json"), stencil_report(grid).to_dict())
+        coords = iotools.coordinate_text(grid.x)
         for idx, snap_field in enumerate(traj.snapshots):
-            iotools.write_field_csv(os.path.join(out, f"snap_{idx:06d}.csv"), grid.x, snap_field)
+            iotools.write_field_csv(os.path.join(out, f"snap_{idx:06d}.csv"), coords, snap_field)
         print(f"evolved to T={args.T} with {len(traj.snapshots)} snapshots")
         return 0
 
@@ -246,7 +247,7 @@ def _dispatch(args, config: dict, problem) -> int:
         )
         iotools.write_json(os.path.join(out, "manifest.json"), manifest)
         iotools.write_json(os.path.join(out, "ergodic.json"), pair.to_dict())
-        iotools.write_field_csv(os.path.join(out, "chi.csv"), grid.x, pair.chi)
+        iotools.write_field_csv(os.path.join(out, "chi.csv"), iotools.coordinate_text(grid.x), pair.chi)
         print(f"c={pair.c!r} residual={pair.residual:.3e} ({pair.iterations} iterations)")
         return 0
 

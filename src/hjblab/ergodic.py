@@ -113,14 +113,13 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
     params = params or ErgodicSolverParams()
     anchor = _anchor(grid, params)
     n = grid.n
-    lvals = np.stack([cs.l for cs in grid.controls])
     gather_minus = grid._gather_minus[anchor]
     gather_plus = grid._gather_plus[anchor]
     rhs = np.ones((n, 2))
     rhs[anchor] = 0.0
     policy = maximizing_policy(grid, np.zeros(n))
     for iteration in range(1, MAX_POLICY_ITERATIONS + 1):
-        rhs[:, 0] = lvals[policy, np.arange(n)]
+        rhs[:, 0] = grid.l[policy, np.arange(n)]
         rhs[anchor, 0] = 0.0
         matrix = frozen_matrix(grid, policy, scale=1.0, shift=0.0, pin=anchor)
         with warnings.catch_warnings():
@@ -136,12 +135,12 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
             raise NumericalError(f"the frozen-policy solve is non-finite at policy iteration {iteration}")
         # (A u)[anchor] for u = y, z in neighbor differences: the pinned row
         # holds u[anchor] = 0 only up to the roundoff of the pivoted solve
-        cs = grid.controls[policy[anchor]]
+        ca = policy[anchor]
         a_y, a_z = (
-            cs.coef_minus[anchor] @ (yz[gather_minus] - yz[anchor])
-            + cs.coef_plus[anchor] @ (yz[gather_plus] - yz[anchor])
+            grid.coef_minus[ca, anchor] @ (yz[gather_minus] - yz[anchor])
+            + grid.coef_plus[ca, anchor] @ (yz[gather_plus] - yz[anchor])
         )
-        c = float((a_y - cs.l[anchor]) / (1.0 - a_z))
+        c = float((a_y - grid.l[ca, anchor]) / (1.0 - a_z))
         chi = yz[:, 0] + c * yz[:, 1]
         new_policy = maximizing_policy(grid, chi)
         if np.array_equal(new_policy, policy):

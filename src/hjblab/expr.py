@@ -301,10 +301,10 @@ def _eval(e: Expr, env: dict, size: int) -> np.ndarray:
         a = _eval(e.lhs, env, size)
         b = _eval(e.rhs, env, size)
         if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
+            r = a + b
+        elif e.op == "-":
+            r = a - b
+        elif e.op == "*":
             r = a * b
         elif e.op == "/":
             _check(b == 0.0, "division by zero", e, env)

@@ -30,8 +30,15 @@ the boundary feet) through the array evaluator of :mod:`hjblab.expr`, so
 the cached stencil entries are bit-identical to the pointwise
 ``ControlProblem`` values.  Only diagonal diffusion is supported; a
 control with a nonzero off-diagonal entry of a at any node is refused
-with :class:`ConfigError`.  Applying the operator is a handful of
-vectorized array expressions over the cached tables.
+with :class:`ConfigError`.
+
+The per-control data are stacked tables on the :class:`Grid`, the
+control index first: ``coef_minus``, ``coef_plus``, ``b_raw``, ``a_diag``,
+``updir`` and ``forced`` are ``(n_controls, n, N)``, ``l`` is
+``(n_controls, n)`` and ``face``, ``face_clamped`` and ``face_dropped`` are
+``(n_controls, n, N, 2)`` with the minus side first.  Every solver reads
+or indexes these tables: :func:`control_values` is one broadcast over all
+controls at once, and a frozen policy picks its rows with one fancy index.
 """
 
 from __future__ import annotations
@@ -46,23 +53,6 @@ from .errors import ConfigError
 from .problem import ControlProblem, quadratic_form
 
 GridField = np.ndarray  # one real per node
-
-
-@dataclass
-class ControlStencil:
-    """Cached stencil data of one control on one grid."""
-
-    b_raw: np.ndarray      # (n, N) drift from the coefficient expressions
-    bt: np.ndarray         # (n, N) effective advection b - div(a)
-    a_diag: np.ndarray     # (n, N) diagonal diffusion at the nodes
-    l: np.ndarray          # (n,) running cost
-    face: np.ndarray       # (n, N, 2) face diffusivities, [minus, plus]
-    face_clamped: np.ndarray   # (n, N, 2) boundary face clamped to zero
-    face_dropped: np.ndarray   # (n, N, 2) boundary face kept > 0: exterior ref
-    updir: np.ndarray      # (n, N) chosen upwind side, +1 forward / -1 backward
-    forced: np.ndarray     # (n, N) outward advection forced inward
-    coef_minus: np.ndarray  # (n, N) stencil coefficient on the minus neighbor
-    coef_plus: np.ndarray   # (n, N) stencil coefficient on the plus neighbor
 
 
 class Grid:
@@ -102,26 +92,27 @@ class Grid:
             raise ConfigError(f"h={h} is too coarse for a disk of radius {dom.radius}")
         c = np.asarray(dom.center, dtype=float)
         k_max = int(np.floor(dom.radius / h)) + 1
-        lattice = {}
-        coords = []
-        for j in range(-k_max, k_max + 1):
-            for i in range(-k_max, k_max + 1):
-                p = c + h * np.array([i, j], dtype=float)
-                d = dom.radius - float(np.hypot(p[0] - c[0], p[1] - c[1]))
-                if d >= h * (1 - 1e-12):
-                    lattice[(i, j)] = len(coords)
-                    coords.append(p)
-        if len(coords) < 3:
-            raise ConfigError(f"h={h} is too coarse: only {len(coords)} nodes inside the disk")
-        self.x = np.array(coords)
-        self.n = len(coords)
-        self._nbr = np.full((self.n, 2, 2), -1, dtype=np.int64)
-        for (i, j), idx in lattice.items():
-            for axis, (di, dj) in ((0, (1, 0)), (1, (0, 1))):
-                if (i - di, j - dj) in lattice:
-                    self._nbr[idx, axis, 0] = lattice[(i - di, j - dj)]
-                if (i + di, j + dj) in lattice:
-                    self._nbr[idx, axis, 1] = lattice[(i + di, j + dj)]
+        steps = h * np.arange(-k_max, k_max + 1, dtype=float)
+        # lattice point (i, j) sits at [j + k_max, i + k_max]; nodes are
+        # numbered row by row (j outer, i inner)
+        p1, p2 = np.meshgrid(c[0] + steps, c[1] + steps)
+        inside = dom.radius - np.hypot(p1 - c[0], p2 - c[1]) >= h * (1 - 1e-12)
+        n = int(inside.sum())
+        if n < 3:
+            raise ConfigError(f"h={h} is too coarse: only {n} nodes inside the disk")
+        self.x = np.stack([p1[inside], p2[inside]], axis=1)
+        self.n = n
+        # node index per lattice point, padded by a ring of -1 so that every
+        # node's four lattice neighbors can be read by offset
+        index = np.full((inside.shape[0] + 2, inside.shape[1] + 2), -1, dtype=np.int64)
+        index[1:-1, 1:-1][inside] = np.arange(n)
+        rows, cols = np.nonzero(inside)
+        rows, cols = rows + 1, cols + 1
+        self._nbr = np.empty((n, 2, 2), dtype=np.int64)
+        self._nbr[:, 0, 0] = index[rows, cols - 1]
+        self._nbr[:, 0, 1] = index[rows, cols + 1]
+        self._nbr[:, 1, 0] = index[rows - 1, cols]
+        self._nbr[:, 1, 1] = index[rows + 1, cols]
 
     def _build_geometry(self):
         dom = self.domain
@@ -148,7 +139,13 @@ class Grid:
         edge = ~has.all(axis=(1, 2))
         foot, normal = geo.boundary_foot(self.domain, x[edge])
         off_diagonal = ~np.eye(N, dtype=bool)
-        self.controls: list[ControlStencil] = []
+        C = len(problem.controls)
+        self.b_raw = np.empty((C, n, N))
+        self.a_diag = np.empty((C, n, N))
+        self.l = np.empty((C, n))
+        self.face = np.zeros((C, n, N, 2))
+        bt = np.empty((C, n, N))  # effective advection b - div(a); only the build reads it
+        nu = np.zeros((C, n))
         for ci, control in enumerate(problem.controls):
             a = problem.diffusion(x, ci)
             off = (a[:, off_diagonal] != 0.0).any(axis=1)
@@ -158,11 +155,9 @@ class Grid:
                     f"control {control.label}: off-diagonal diffusion at node {i} "
                     f"(x={x[i].tolist()}, a={a[i].tolist()}); the scheme supports diagonal a only"
                 )
-            b_raw = problem.drift(x, ci)
-            lvals = problem.cost(x, ci)
-            a_diag = np.diagonal(a, axis1=1, axis2=2).copy()
-            div_a = np.zeros((n, N))
-            face = np.zeros((n, N, 2))
+            self.b_raw[ci] = problem.drift(x, ci)
+            self.l[ci] = problem.cost(x, ci)
+            self.a_diag[ci] = np.diagonal(a, axis1=1, axis2=2)
             for k in range(N):
 
                 def a_kk(pts):
@@ -172,79 +167,59 @@ class Grid:
                 xp, xm = x.copy(), x.copy()
                 xp[:, k] += fd_step
                 xm[:, k] -= fd_step
-                div_a[:, k] = (a_kk(xp) - a_kk(xm)) / (2 * fd_step)
+                bt[ci, :, k] = self.b_raw[ci, :, k] - (a_kk(xp) - a_kk(xm)) / (2 * fd_step)
                 # face diffusivities at the midpoints towards existing neighbors
                 for side, sign in ((0, -1.0), (1, 1.0)):
                     inner = has[:, k, side]
                     xf = x[inner]
                     xf[:, k] += sign * h / 2
-                    face[inner, k, side] = a_kk(xf)
-            nu = np.zeros(n)
-            nu[edge] = quadratic_form(problem.diffusion(foot, ci), normal)
-            small = (nu < h2)[:, None, None]
-            clamped = ~has & small
-            dropped = ~has & ~small
-            face = np.where(dropped, nu[:, None, None], face)
-            if not np.isfinite(b_raw).all() or not np.isfinite(a_diag).all() or not np.isfinite(lvals).all():
+                    self.face[ci, inner, k, side] = a_kk(xf)
+            nu[ci, edge] = quadratic_form(problem.diffusion(foot, ci), normal)
+            if not (
+                np.isfinite(self.b_raw[ci]).all()
+                and np.isfinite(self.a_diag[ci]).all()
+                and np.isfinite(self.l[ci]).all()
+            ):
                 raise ConfigError(f"control {control.label}: coefficients evaluate non-finite")
 
-            bt = b_raw - div_a
-            updir = np.where(bt >= 0.0, 1, -1).astype(np.int64)
-            has_minus, has_plus = has[:, :, 0], has[:, :, 1]
-            forced = np.zeros((n, N), dtype=bool)
-            # flip the upwind side where its neighbor is missing
-            flip_to_plus = (updir == -1) & ~has_minus
-            flip_to_minus = (updir == 1) & ~has_plus
-            forced |= (flip_to_plus | flip_to_minus) & (bt != 0.0)
-            updir[flip_to_plus] = 1
-            updir[flip_to_minus] = -1
-            drift_ok = np.where(updir == 1, has_plus, has_minus)
-
-            face_eff = face.copy()
-            face_eff[:, :, 0] *= has_minus
-            face_eff[:, :, 1] *= has_plus
-            coef_minus = -face_eff[:, :, 0] / h2 + np.where(
-                (updir == -1) & drift_ok, bt / h, 0.0
-            )
-            coef_plus = -face_eff[:, :, 1] / h2 + np.where(
-                (updir == 1) & drift_ok, -bt / h, 0.0
-            )
-            self.controls.append(
-                ControlStencil(
-                    b_raw=b_raw,
-                    bt=bt,
-                    a_diag=a_diag,
-                    l=lvals,
-                    face=face,
-                    face_clamped=clamped,
-                    face_dropped=dropped,
-                    updir=updir,
-                    forced=forced,
-                    coef_minus=coef_minus,
-                    coef_plus=coef_plus,
-                )
-            )
+        small = (nu < h2)[:, :, None, None]
+        self.face_clamped = ~has & small
+        self.face_dropped = ~has & ~small
+        self.face = np.where(self.face_dropped, nu[:, :, None, None], self.face)
+        has_minus, has_plus = has[:, :, 0], has[:, :, 1]
+        updir = np.where(bt >= 0.0, 1, -1).astype(np.int64)
+        # flip the upwind side where its neighbor is missing
+        flip_to_plus = (updir == -1) & ~has_minus
+        flip_to_minus = (updir == 1) & ~has_plus
+        self.forced = (flip_to_plus | flip_to_minus) & (bt != 0.0)
+        updir[flip_to_plus] = 1
+        updir[flip_to_minus] = -1
+        self.updir = updir
+        drift_ok = np.where(updir == 1, has_plus, has_minus)
+        self.coef_minus = -(self.face[..., 0] * has_minus) / h2 + np.where(
+            (updir == -1) & drift_ok, bt / h, 0.0
+        )
+        self.coef_plus = -(self.face[..., 1] * has_plus) / h2 + np.where(
+            (updir == 1) & drift_ok, -bt / h, 0.0
+        )
         # gather indices with missing neighbors redirected to the node itself,
         # so that (u[nbr] - u) vanishes there
-        self._gather_minus = np.where(has[:, :, 0], self._nbr[:, :, 0], np.arange(n)[:, None])
-        self._gather_plus = np.where(has[:, :, 1], self._nbr[:, :, 1], np.arange(n)[:, None])
+        self._gather_minus = np.where(has_minus, self._nbr[:, :, 0], np.arange(n)[:, None])
+        self._gather_plus = np.where(has_plus, self._nbr[:, :, 1], np.arange(n)[:, None])
         # the stencil is fixed from here on: its worst explicit rate, for cfl_dt
-        self._max_rate = max(
-            float((np.sum(np.abs(cs.coef_minus), axis=1) + np.sum(np.abs(cs.coef_plus), axis=1)).max())
-            for cs in self.controls
-        )
+        self._max_rate = float(_explicit_rates(self).max())
 
     # -- queries -----------------------------------------------------------
 
     @property
     def n_controls(self) -> int:
-        return len(self.controls)
+        return self.l.shape[0]
 
     def l_sup(self) -> float:
-        return max(float(np.abs(cs.l).max()) for cs in self.controls)
+        return float(np.abs(self.l).max())
 
     def l_min_field(self) -> np.ndarray:
-        return np.min(np.stack([cs.l for cs in self.controls]), axis=0)
+        return self.l.min(axis=0)
 
     def field_from_expr(self, source: str) -> GridField:
         tree = ex.parse(source)
@@ -262,22 +237,21 @@ def build_grid(problem: ControlProblem, h: float) -> Grid:
 def control_values(grid: Grid, u: GridField) -> np.ndarray:
     """Per-control operator values (n_controls, n): A_c u - l_c.
 
-    Written purely in neighbor differences so that shifting ``u`` by an
-    exactly representable constant leaves the result bit-identical.
+    One broadcast of the stacked stencil tables over all controls, written
+    purely in neighbor differences so that shifting ``u`` by an exactly
+    representable constant leaves the result bit-identical.  The axis
+    terms are added left to right, ``(m_1 + .. + m_N) + (p_1 + .. + p_N) - l``.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n,):
         raise ConfigError(f"field has shape {u.shape}, expected ({grid.n},)")
-    out = np.empty((grid.n_controls, grid.n))
-    du_minus = u[grid._gather_minus] - u[:, None]
-    du_plus = u[grid._gather_plus] - u[:, None]
-    for ci, cs in enumerate(grid.controls):
-        out[ci] = (
-            np.sum(cs.coef_minus * du_minus, axis=1)
-            + np.sum(cs.coef_plus * du_plus, axis=1)
-            - cs.l
-        )
-    return out
+    terms_minus = grid.coef_minus * (u[grid._gather_minus] - u[:, None])
+    terms_plus = grid.coef_plus * (u[grid._gather_plus] - u[:, None])
+    minus, plus = terms_minus[..., 0], terms_plus[..., 0]
+    for k in range(1, grid.ndim):
+        minus = minus + terms_minus[..., k]
+        plus = plus + terms_plus[..., k]
+    return minus + plus - grid.l
 
 
 def apply_H(grid: Grid, u: GridField) -> GridField:
@@ -289,6 +263,11 @@ def apply_H(grid: Grid, u: GridField) -> GridField:
 def maximizing_policy(grid: Grid, u: GridField) -> np.ndarray:
     """Per-node maximizing control index; ties resolve to the lowest index."""
     return np.argmax(control_values(grid, u), axis=0)
+
+
+def _explicit_rates(grid: Grid) -> np.ndarray:
+    """(n_controls, n) explicit update rates: the sum of |coef| over each stencil."""
+    return np.abs(grid.coef_minus).sum(axis=2) + np.abs(grid.coef_plus).sum(axis=2)
 
 
 def cfl_dt(grid: Grid) -> float:
@@ -334,46 +313,36 @@ class StencilReport:
 
 
 def stencil_report(grid: Grid, include_nodes: bool = False) -> StencilReport:
-    exterior = 0
-    clamped = 0
-    forced = 0
-    min_off = np.inf
-    row_err = 0.0
-    for cs in grid.controls:
-        exterior += int(cs.face_dropped.sum())
-        clamped += int(cs.face_clamped.sum())
-        forced += int(cs.forced.sum())
-        # off-diagonal coefficients of the monotone update are -coef
-        min_off = min(min_off, float((-cs.coef_minus).min()), float((-cs.coef_plus).min()))
-        total = np.sum(cs.coef_minus, axis=1) + np.sum(cs.coef_plus, axis=1)
-        diag = -total
-        # relative residual of the zero-row-sum identity A[const] = 0
-        row_err = max(row_err, float((np.abs(diag + total) / (1.0 + np.abs(total))).max()))
+    # off-diagonal coefficients of the monotone update are -coef
+    min_off = min(float((-grid.coef_minus).min()), float((-grid.coef_plus).min()))
+    total = grid.coef_minus.sum(axis=2) + grid.coef_plus.sum(axis=2)
+    diag = -total
+    # relative residual of the zero-row-sum identity A[const] = 0
+    row_err = float((np.abs(diag + total) / (1.0 + np.abs(total))).max())
     per_node = []
     if include_nodes:
-        for i in range(grid.n):
-            rows = []
-            for ci, cs in enumerate(grid.controls):
-                rows.append(
-                    {
-                        "control": ci,
-                        "upwind": cs.updir[i].tolist(),
-                        "faces": cs.face[i].tolist(),
-                        "forced_inward": bool(cs.forced[i].any()),
-                        "exterior_faces": int(cs.face_dropped[i].sum()),
-                        "cfl_rate": float(
-                            np.sum(np.abs(cs.coef_minus[i])) + np.sum(np.abs(cs.coef_plus[i]))
-                        ),
-                    }
-                )
-            per_node.append({"node": i, "x": grid.x[i].tolist(), "d": float(grid.d[i]), "stencil": rows})
+        # node-major nested lists: [node][control] ...
+        columns = zip(
+            grid.updir.transpose(1, 0, 2).tolist(),
+            grid.face.transpose(1, 0, 2, 3).tolist(),
+            grid.forced.any(axis=2).T.tolist(),
+            grid.face_dropped.sum(axis=(2, 3)).T.tolist(),
+            _explicit_rates(grid).T.tolist(),
+        )
+        for i, (x, d, stencil) in enumerate(zip(grid.x.tolist(), grid.d.tolist(), columns)):
+            rows = [
+                {"control": ci, "upwind": up, "faces": faces, "forced_inward": forced,
+                 "exterior_faces": exterior, "cfl_rate": rate}
+                for ci, (up, faces, forced, exterior, rate) in enumerate(zip(*stencil))
+            ]
+            per_node.append({"node": i, "x": x, "d": d, "stencil": rows})
     return StencilReport(
         n_nodes=grid.n,
         n_controls=grid.n_controls,
         h=grid.h,
-        exterior_reference_count=exterior,
-        clamped_face_count=clamped,
-        forced_inward_count=forced,
+        exterior_reference_count=int(grid.face_dropped.sum()),
+        clamped_face_count=int(grid.face_clamped.sum()),
+        forced_inward_count=int(grid.forced.sum()),
         min_offdiagonal=min_off,
         max_row_sum_error=row_err,
         cfl_dt=cfl_dt(grid),

@@ -2,7 +2,9 @@
 
 Outputs are written atomically (temp file + rename) and byte-stable:
 JSON is dumped with sorted keys, floats through repr, CSV with repr
-columns.  Re-running a command with the same manifest must reproduce
+columns.  A field CSV's coordinate text is formatted once per grid
+(:func:`coordinate_text`), so each snapshot formats only its values.
+Re-running a command with the same manifest must reproduce
 identical bytes.
 """
 
@@ -12,6 +14,8 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,29 +44,46 @@ def write_json(path: str, obj) -> None:
     atomic_write_text(path, dump_json(obj))
 
 
-def field_csv(coords: np.ndarray, values: np.ndarray) -> str:
+def _repr_column(values) -> Iterator[str]:
+    """repr of each entry as a Python float: the bytes of repr(float(v)) per cell."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def _csv_rows(columns) -> Iterator[str]:
+    return map(",".join, zip(*columns, strict=True))
+
+
+@dataclass(frozen=True)
+class CoordinateText:
+    """The coordinate part of a field CSV, formatted once per grid: the
+    header line and, per node, its coordinates followed by a comma."""
+
+    header: str
+    prefixes: tuple[str, ...]
+
+
+def coordinate_text(coords) -> CoordinateText:
     coords = np.atleast_2d(coords)
-    if coords.shape[0] != len(values):
+    header = ",".join(f"x{k + 1}" for k in range(coords.shape[1])) + ",value"
+    prefixes = tuple(row + "," for row in _csv_rows(_repr_column(col) for col in coords.T))
+    return CoordinateText(header, prefixes)
+
+
+def field_csv(coords: CoordinateText, values) -> str:
+    """One field as CSV; only the value column is formatted here."""
+    if len(values) != len(coords.prefixes):
         raise ConfigError("coordinate and value lengths differ")
-    ndim = coords.shape[1]
-    header = ",".join(f"x{k + 1}" for k in range(ndim)) + ",value"
-    # repr of Python floats, column by column: the bytes of repr(float(c)) per cell
-    columns = [map(repr, col) for col in coords.T.astype(float).tolist()]
-    columns.append(map(repr, np.asarray(values, dtype=float).tolist()))
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    rows = map(str.__add__, coords.prefixes, _repr_column(values))
+    return "\n".join([coords.header, *rows]) + "\n"
 
 
-def write_field_csv(path: str, coords, values) -> None:
-    atomic_write_text(path, field_csv(np.asarray(coords), np.asarray(values)))
+def write_field_csv(path: str, coords: CoordinateText, values) -> None:
+    atomic_write_text(path, field_csv(coords, values))
 
 
 def curves_csv(columns: dict[str, list[float]]) -> str:
-    names = list(columns)
-    length = len(columns[names[0]])
-    lines = [",".join(names)]
-    for i in range(length):
-        lines.append(",".join(repr(float(columns[name][i])) for name in names))
-    return "\n".join(lines) + "\n"
+    cells = (_repr_column(col) for col in columns.values())
+    return "\n".join([",".join(columns), *_csv_rows(cells)]) + "\n"
 
 
 def sha256_bytes(blob: bytes) -> str:

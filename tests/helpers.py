@@ -67,3 +67,10 @@ def disk_config() -> dict:
         "controls": [{"b": ["-x1", "-x2"], "sigma": [["d", "0"], ["0", "d"]], "l": "x1^2"}],
         "regularity": {"B": 2.0, "eta": 1.0, "beta": 1.0},
     }
+
+
+def two_control_disk_config() -> dict:
+    """:func:`disk_config` plus a rotating control with anisotropic diffusion."""
+    cfg = disk_config()
+    cfg["controls"].append({"b": ["-x2", "x1"], "sigma": [["d", "0"], ["0", "0.5*d"]], "l": "1+x2"})
+    return cfg

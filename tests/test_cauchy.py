@@ -162,3 +162,19 @@ def test_evolve_metadata():
     assert traj.metadata["h"] == 0.05
     assert traj.metadata["problem"] == helpers.problem("smoothA").fingerprint()
     assert len(traj.snapshots) == len(traj.times) == 3
+    # solver work equals the counts of the same steps taken one by one
+    g2 = helpers.grid("twoControlA", 0.01)
+    u0 = np.random.default_rng(4).uniform(-1.0, 1.0, g2.n)
+    traj = hj.evolve(g2, u0, 0.3, mode="implicit", dt=0.1, snapshot_every=0.1)
+    state, sweeps = initial_state(g2, u0), []
+    for t0, t1 in zip(traj.times, traj.times[1:]):
+        state = step_implicit_policy(g2, state, t1 - t0)
+        sweeps.append(state.sweeps)
+    assert np.array_equal(state.u, traj.final())
+    assert max(sweeps) >= 2
+    assert traj.metadata["steps"] == 3
+    assert traj.metadata["howard_sweeps"] == sum(sweeps)
+    assert traj.metadata["max_howard_sweeps"] == max(sweeps)
+    explicit = hj.evolve(g2, u0, 0.01, mode="explicit")
+    assert explicit.metadata["steps"] == int(np.ceil(0.01 / explicit.metadata["dt"] - 1e-12))
+    assert "howard_sweeps" not in explicit.metadata

@@ -169,6 +169,15 @@ def test_array_fault_names_subexpression_and_first_bad_point():
     assert "x1=3.0" in str(err.value)
 
 
+def test_sum_and_difference_overflow_raise():
+    with pytest.raises(DomainFaultError, match="overflow") as err:
+        evaluate(parse("x1*1e308 + x1*1e308"), {"x1": 1.0})
+    assert err.value.expression == "x1*1e+308+x1*1e+308"
+    with pytest.raises(DomainFaultError, match="overflow") as err:
+        evaluate(parse("x1 - 1e999"), {"x1": np.array([0.5, 1.0])})
+    assert err.value.point == {"x1": 0.5}
+
+
 def test_array_and_pointwise_evaluation_agree_bit_for_bit():
     rng = np.random.default_rng(3)
     x1 = rng.uniform(1e-9, 1.0, 2000)

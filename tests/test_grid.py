@@ -3,7 +3,7 @@ import pytest
 
 import helpers
 import hjblab as hj
-from hjblab.cauchy import initial_state
+from hjblab.cauchy import frozen_matrix, initial_state
 from hjblab.errors import ConfigError
 from hjblab.grid import control_values, maximizing_policy, stencil_report
 
@@ -35,6 +35,67 @@ def test_disk_five_nodes():
     assert got == {(0.0, 0.0), (0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)}
 
 
+def test_disk_neighbors_match_brute_force():
+    # every node's lattice neighbors found by comparing all pairs of nodes
+    cfg = helpers.disk_config()
+    cfg["domain"].update(center=[0.3, -0.7], radius=0.45)
+    for h in (0.05, 0.03):
+        g = hj.build_grid(hj.assemble_problem(cfg), h)
+        offset = (g.x[None, :, :] - g.x[:, None, :]) / h  # [i, j] = (x_j - x_i) / h
+        for k in range(2):
+            for side, sign in ((0, -1.0), (1, 1.0)):
+                target = np.zeros(2)
+                target[k] = sign
+                hits = np.isclose(offset, target, rtol=0.0, atol=1e-9).all(axis=2)
+                assert (hits.sum(axis=1) <= 1).all()
+                expected = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+                assert np.array_equal(g._nbr[:, k, side], expected), (h, k, side)
+        # nodes are numbered row by row, x2 outer and x1 inner
+        assert np.array_equal(np.lexsort((g.x[:, 0], g.x[:, 1])), np.arange(g.n))
+
+
+def _dense(grid, matrix):
+    if grid.ndim == 2:
+        return matrix.toarray()
+    i = np.arange(grid.n - 1)
+    dense = np.diag(matrix[1])
+    dense[i, i + 1] = matrix[0, 1:]
+    dense[i + 1, i] = matrix[2, :-1]
+    return dense
+
+
+def test_frozen_matrix_rows_are_control_values():
+    # (A_policy u)_i = control_values(u)[policy[i], i] + l[policy[i], i],
+    # for the banded (1-D) and the CSR (2-D) form
+    rng = np.random.default_rng(12)
+    disk = hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.125)
+    for g in (helpers.grid("twoControlA", 0.01), disk):
+        assert g.n_controls == 2
+        rows = np.arange(g.n)
+        for _ in range(3):
+            u = rng.uniform(-1.0, 1.0, g.n)
+            policy = rng.integers(0, g.n_controls, g.n)
+            got = _dense(g, frozen_matrix(g, policy, 1.0, 0.0)) @ u
+            want = control_values(g, u)[policy, rows] + g.l[policy, rows]
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_control_values_match_per_node_reference():
+    # the broadcast kernel equals, bit for bit, the per-control, per-node
+    # formula (m_1 + m_2) + (p_1 + p_2) - l in neighbor differences
+    g = hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.125)
+    u = np.random.default_rng(13).uniform(-1.0, 1.0, g.n)
+    ref = np.empty((g.n_controls, g.n))
+    for ci in range(g.n_controls):
+        for i in range(g.n):
+            terms = []
+            for side, coef in ((0, g.coef_minus), (1, g.coef_plus)):
+                diffs = [u[j] - u[i] if j >= 0 else 0.0 for j in g._nbr[i, :, side]]
+                terms.append(float(coef[ci, i, 0]) * diffs[0] + float(coef[ci, i, 1]) * diffs[1])
+            ref[ci, i] = terms[0] + terms[1] - float(g.l[ci, i])
+    assert np.array_equal(control_values(g, u), ref)
+
+
 def test_cached_coefficients_match_direct_evaluation():
     # one evaluator: the grid caches equal the pointwise API bit for bit,
     # also for fractional powers (degenerateB: 0.4 and 0.75) and on a disk
@@ -45,17 +106,17 @@ def test_cached_coefficients_match_direct_evaluation():
     ]
     for p, h in cases:
         g = hj.build_grid(p, h)
-        for ci, cs in enumerate(g.controls):
+        for ci in range(g.n_controls):
             for i in range(g.n):
-                assert cs.l[i] == p.cost(g.x[i], ci)
-                assert np.array_equal(cs.b_raw[i], p.drift(g.x[i], ci))
+                assert g.l[ci, i] == p.cost(g.x[i], ci)
+                assert np.array_equal(g.b_raw[ci, i], p.drift(g.x[i], ci))
                 a = p.diffusion(g.x[i], ci)
-                assert np.array_equal(cs.a_diag[i], np.diagonal(a))
+                assert np.array_equal(g.a_diag[ci, i], np.diagonal(a))
                 for k in range(g.ndim):
                     if g._nbr[i, k, 1] >= 0:
                         xf = g.x[i].copy()
                         xf[k] += h / 2
-                        assert cs.face[i, k, 1] == p.diffusion(xf, ci)[k, k]
+                        assert g.face[ci, i, k, 1] == p.diffusion(xf, ci)[k, k]
 
 
 def test_off_diagonal_diffusion_refused():
@@ -67,10 +128,7 @@ def test_off_diagonal_diffusion_refused():
 
 def test_cfl_dt_is_fixed_at_build():
     g = helpers.grid("smoothA", 0.01)
-    rate = max(
-        float((np.abs(cs.coef_minus).sum(axis=1) + np.abs(cs.coef_plus).sum(axis=1)).max())
-        for cs in g.controls
-    )
+    rate = float((np.abs(g.coef_minus).sum(axis=2) + np.abs(g.coef_plus).sum(axis=2)).max())
     assert hj.cfl_dt(g) == 1.0 / rate
     flat = hj.build_grid(hj.assemble_problem(helpers.flat_config()), 0.1)
     with pytest.raises(ConfigError, match="vanishes"):
