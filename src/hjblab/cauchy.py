@@ -9,10 +9,19 @@ boundary degeneracy, so both steppers act on interior nodes only.
   solve for the frozen controls); each frozen-control matrix is an
   M-matrix, so the step is monotone for any step size.
 
-:func:`frozen_matrix` builds that matrix; the ergodic policy solver
-builds its pinned generator with it too.  scipy is imported at the first
-solve, so the commands that never solve (validate, certify) skip its
-import.
+:func:`frozen_matrix` builds that matrix, and :func:`frozen_factor` is
+the only way any solver solves it: the implicit step and the ergodic
+policy solver, whose pinned generator is a frozen matrix too.  In 1-D
+the factor is the band, which ``scipy.linalg.solve_banded`` eliminates
+at each solve; in 2-D it is ``scipy.sparse.linalg.splu`` of the CSC
+matrix.  Each grid caches its last factor in a one-entry cache keyed on
+``(policy.tobytes(), scale, shift, pin)``, with the exact float ``scale``
+(dt for a step): a fixed dt and an unchanged policy, as in every step of
+a single-control problem, cost one factorization for the whole run, and
+a step that differs by one ulp is a different matrix and is factored
+afresh.  A singular operator raises :class:`NumericalError`.  scipy is
+imported at the first solve, so the commands that never solve
+(validate, certify) skip its import.
 
 Every evolution enforces the a-priori bound
 ``sup |u(t)| <= sup |u0| + sup |l| * t`` at snapshot times.
@@ -92,8 +101,8 @@ def frozen_matrix(
     stacked tables ``grid.coef_minus`` and ``grid.coef_plus``
     (n_controls, n, N) at ``[policy[i], i]``, one fancy index for all
     rows.  With ``pin`` the row of that node becomes the identity row.
-    Returned in the form :func:`solve_frozen` takes: the (3, n) band of
-    ``scipy.linalg.solve_banded`` in 1-D, CSR in 2-D.
+    Returned as the (3, n) band of ``scipy.linalg.solve_banded`` in 1-D
+    and in 2-D as CSC, the format ``splu`` factors without a copy.
     """
     n = grid.n
     rows = np.arange(n)
@@ -120,22 +129,61 @@ def frozen_matrix(
             entries_r.append(rows[mask])
             entries_c.append(nbr[mask])
             entries_v.append(scale * coef[mask])
-    return scipy.sparse.csr_matrix(
+    return scipy.sparse.csc_matrix(
         (np.concatenate(entries_v), (np.concatenate(entries_r), np.concatenate(entries_c))),
         shape=(n, n),
     )
 
 
-def solve_frozen(grid: Grid, matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ u = rhs`` for a :func:`frozen_matrix`; ``rhs`` may
-    hold one right-hand side per column."""
-    if grid.ndim == 1:
+class _BandFactor:
+    """A 1-D frozen operator: ``solve_banded`` eliminates the tridiagonal
+    band at each solve, so the band itself is what is cached."""
+
+    def __init__(self, band: np.ndarray):
+        self.band = band
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         import scipy.linalg
 
-        return scipy.linalg.solve_banded((1, 1), matrix, rhs)
-    import scipy.sparse.linalg
+        try:
+            return scipy.linalg.solve_banded((1, 1), self.band, rhs)
+        except np.linalg.LinAlgError:
+            raise NumericalError("the frozen-policy operator is singular") from None
 
-    return scipy.sparse.linalg.spsolve(matrix, rhs)
+
+def frozen_factor(
+    grid: Grid,
+    policy: np.ndarray,
+    scale: float,
+    shift: float,
+    pin: int | None = None,
+):
+    """The factored :func:`frozen_matrix`; ``.solve(rhs)`` solves
+    ``matrix @ u = rhs``, and ``rhs`` may hold one right-hand side per
+    column.
+
+    The grid keeps the last factor, keyed on the policy bytes and the
+    exact scalars; a hit returns it without rebuilding the matrix, a miss
+    replaces it and adds one to ``grid.factorizations``.  A singular
+    operator raises :class:`NumericalError`: in 2-D when it is factored,
+    in 1-D when it is solved.
+    """
+    key = (policy.tobytes(), scale, shift, pin)
+    if grid._frozen is not None and grid._frozen[0] == key:
+        return grid._frozen[1]
+    matrix = frozen_matrix(grid, policy, scale, shift, pin)
+    if grid.ndim == 1:
+        factor = _BandFactor(matrix)
+    else:
+        import scipy.sparse.linalg
+
+        try:
+            factor = scipy.sparse.linalg.splu(matrix)
+        except RuntimeError:  # "Factor is exactly singular"
+            raise NumericalError("the frozen-policy operator is singular") from None
+    grid._frozen = (key, factor)
+    grid.factorizations += 1
+    return factor
 
 
 def howard_solve(
@@ -148,7 +196,7 @@ def howard_solve(
     """Solve the backward Euler step u + dt H[u] = u_old by policy iteration.
 
     Alternates (a) the per-node maximizing control for the current
-    iterate with (b) a banded or sparse linear solve for the frozen
+    iterate with (b) a solve with the :func:`frozen_factor` of the frozen
     controls, until the policy is stationary or the nonlinear residual
     ``|u + dt H[u] - u_old|`` drops below ``residual_tol`` (scaled by
     the data size).  A stationary policy means the last solve already
@@ -162,7 +210,7 @@ def howard_solve(
     last_residual = np.inf
     for sweep in range(1, max_sweeps + 1):
         rhs = u_old + dt * grid.l[policy, np.arange(grid.n)]
-        u = solve_frozen(grid, frozen_matrix(grid, policy, scale=dt, shift=1.0), rhs)
+        u = frozen_factor(grid, policy, scale=dt, shift=1.0).solve(rhs)
         vals = control_values(grid, u)
         new_policy = np.argmax(vals, axis=0)
         last_residual = float(np.abs(u + dt * np.max(vals, axis=0) - u_old).max())
@@ -204,7 +252,9 @@ def evolve(
     first snapshot.  NaNs abort with the offending node; the a-priori
     bound is enforced at every snapshot.  The metadata records the step
     count and, in implicit mode, the total and the largest number of
-    Howard sweeps per step.
+    Howard sweeps per step and ``factorizations``, the frozen operators
+    factored during the run (misses of the :func:`frozen_factor` cache:
+    one for a fixed dt and policy on a fresh grid).
     """
     if not T > 0:
         raise ConfigError("T must be positive")
@@ -232,6 +282,7 @@ def evolve(
         },
     )
     total_sweeps = max_sweeps = 0
+    factorizations = grid.factorizations
     for js in range(1, n_snaps + 1):
         target = min(js * snapshot_every, T)
         span = target - state.t
@@ -257,4 +308,5 @@ def evolve(
     if mode == "implicit":
         traj.metadata["howard_sweeps"] = total_sweeps
         traj.metadata["max_howard_sweeps"] = max_sweeps
+        traj.metadata["factorizations"] = grid.factorizations - factorizations
     return traj

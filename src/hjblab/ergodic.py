@@ -14,21 +14,30 @@ Three solvers:
   point directly.
 
 The last two march the evolution and serve as independent cross-checks
-of the first.  Every solver reports the residual ``sup |H[chi] - c|``
-over nodes with d >= 10 h and raises :class:`NumericalError` unless it
-is below the tolerance (``max(tolerance, 1e-8)`` for longtime); the
-boundary layer, where the scheme loses consistency, is excluded from
-that norm and reported separately.
+of the first.  Every frozen operator, the pinned generator and the
+implicit step's ``I + dt A``, is solved through
+:func:`hjblab.cauchy.frozen_factor`, whose one-entry cache on the grid
+is keyed on ``(policy.tobytes(), scale, shift, pin)`` with the exact
+float step: the implicit steps of RVI and of the longtime march reuse
+one factorization for as long as dt and the policy stay the same.
+A singular frozen operator (some node never reaches the anchor) raises
+:class:`NumericalError`, in 2-D from ``splu``'s exactly singular factor
+and in 1-D from ``solve_banded``.
+
+Every solver reports the residual ``sup |H[chi] - c|`` over nodes with
+d >= 10 h and raises :class:`NumericalError` unless it is below the
+tolerance (``max(tolerance, 1e-8)`` for longtime); the boundary layer,
+where the scheme loses consistency, is excluded from that norm and
+reported separately.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import CauchyState, frozen_matrix, initial_state, solve_frozen, step_implicit_policy
+from .cauchy import CauchyState, frozen_factor, initial_state, step_implicit_policy
 from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField, apply_H, cfl_dt, maximizing_policy
 
@@ -101,15 +110,14 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
 
     For a frozen policy the pair solves ``A chi - l = c`` with
     ``chi[anchor] = 0``.  With the anchor row of ``A`` replaced by the
-    identity row, one factorization gives ``y`` (right-hand side ``l``)
-    and ``z`` (right-hand side 1), both zero at the anchor; the anchor
-    row's own equation fixes c, and ``chi = y + c z``.  The policy is
-    then re-maximized until it stops changing.  ``z`` is the expected
-    hitting time of the anchor, so a node that never reaches the anchor
-    makes the matrix singular.
+    identity row, one :func:`~hjblab.cauchy.frozen_factor` gives ``y``
+    (right-hand side ``l``) and ``z`` (right-hand side 1), both zero at
+    the anchor; the anchor row's own equation fixes c, and
+    ``chi = y + c z``.  The policy is then re-maximized until it stops
+    changing.  ``z`` is the expected hitting time of the anchor, so a
+    node that never reaches the anchor makes the matrix singular, and
+    the solve raises :class:`NumericalError`.
     """
-    import scipy.sparse.linalg  # imported at first use, like in cauchy
-
     params = params or ErgodicSolverParams()
     anchor = _anchor(grid, params)
     n = grid.n
@@ -121,16 +129,13 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
     for iteration in range(1, MAX_POLICY_ITERATIONS + 1):
         rhs[:, 0] = grid.l[policy, np.arange(n)]
         rhs[anchor, 0] = 0.0
-        matrix = frozen_matrix(grid, policy, scale=1.0, shift=0.0, pin=anchor)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.sparse.linalg.MatrixRankWarning)
-            try:
-                yz = solve_frozen(grid, matrix, rhs)
-            except (np.linalg.LinAlgError, scipy.sparse.linalg.MatrixRankWarning):
-                raise NumericalError(
-                    f"the frozen-policy operator is singular at policy iteration {iteration}: "
-                    f"some node never reaches the anchor node {anchor}"
-                ) from None
+        try:
+            yz = frozen_factor(grid, policy, scale=1.0, shift=0.0, pin=anchor).solve(rhs)
+        except NumericalError as err:
+            raise NumericalError(
+                f"{err} at policy iteration {iteration}: "
+                f"some node never reaches the anchor node {anchor}"
+            ) from None
         if not np.isfinite(yz).all():
             raise NumericalError(f"the frozen-policy solve is non-finite at policy iteration {iteration}")
         # (A u)[anchor] for u = y, z in neighbor differences: the pinned row

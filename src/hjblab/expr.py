@@ -15,7 +15,8 @@ boundary distance ``d``.  The grammar is
 that number is followed by ``^``: ``-2`` is ``Num(-2.0)``, ``2^-3`` is
 ``2^Num(-3.0)``, but ``-2^2`` is ``-(2^2)``.  The printer writes the
 negation of a non-negative literal as ``-(2.0)``, so every tree has one
-spelling.
+spelling.  A literal that overflows a double, such as ``1e999``, is
+refused with :class:`ExprParseError`.
 Available calls: exp, log, sin, cos, abs (unary), min, max, pow (binary).
 There is no implicit multiplication and no user-defined functions.
 
@@ -120,6 +121,13 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _literal(text: str, pos: int) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ExprParseError(f"literal {text} overflows a double", pos)
+    return value
+
+
 class _Parser:
     def __init__(self, source: str):
         self.source = source
@@ -171,11 +179,11 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             # a number token is never last, so the lookahead stays in range
             if kind == "num" and self.tokens[self.i + 1][:2] != ("op", "^"):
                 self.advance()
-                return Num(-float(text))
+                return Num(-_literal(text, pos))
             return Neg(self.factor())
         return self.power()
 
@@ -191,7 +199,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            return Num(_literal(text, pos))
         if kind == "ident":
             k, t, _ = self.peek()
             if k == "op" and t == "(":
@@ -228,7 +236,8 @@ class _Parser:
 def parse(source: str) -> Expr:
     """Parse ``source`` into an expression tree.
 
-    Raises :class:`ExprParseError` (with character offset),
+    Raises :class:`ExprParseError` (with character offset), also for a
+    literal that overflows a double such as ``1e999``,
     :class:`UnknownIdentifierError` or :class:`ArityError`.
     """
     return _Parser(source).parse()

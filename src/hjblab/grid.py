@@ -56,7 +56,14 @@ GridField = np.ndarray  # one real per node
 
 
 class Grid:
-    """Uniform interior grid with cached geometry and stencil tables."""
+    """Uniform interior grid with cached geometry and stencil tables.
+
+    The node, geometry and stencil tables are immutable after the build:
+    nothing writes to them, and :func:`hjblab.cauchy.frozen_factor` relies
+    on it, since it keeps the last factored frozen operator in ``_frozen``
+    keyed on the policy and the scalars alone.  ``factorizations`` counts
+    the misses of that cache: the frozen operators built into a factor.
+    """
 
     def __init__(self, problem: ControlProblem, h: float):
         if not h > 0:
@@ -68,6 +75,8 @@ class Grid:
         self._build_nodes()
         self._build_geometry()
         self._build_stencils()
+        self._frozen = None  # (key, factor) of the last frozen operator
+        self.factorizations = 0
 
     # -- construction -----------------------------------------------------
 
@@ -312,13 +321,30 @@ class StencilReport:
         }
 
 
+def _row_sums(grid: Grid, matrix) -> np.ndarray:
+    """Row sums of a :func:`hjblab.cauchy.frozen_matrix`: in 1-D the
+    diagonal plus the off-diagonal sum of the band, in 2-D the sparse rows."""
+    if grid.ndim == 1:
+        off = np.zeros(grid.n)
+        off[:-1] = matrix[0, 1:]
+        off[1:] += matrix[2, :-1]
+        return matrix[1] + off
+    return matrix @ np.ones(grid.n)
+
+
 def stencil_report(grid: Grid, include_nodes: bool = False) -> StencilReport:
+    from .cauchy import frozen_matrix  # cauchy imports this module
+
     # off-diagonal coefficients of the monotone update are -coef
     min_off = min(float((-grid.coef_minus).min()), float((-grid.coef_plus).min()))
-    total = grid.coef_minus.sum(axis=2) + grid.coef_plus.sum(axis=2)
-    diag = -total
-    # relative residual of the zero-row-sum identity A[const] = 0
-    row_err = float((np.abs(diag + total) / (1.0 + np.abs(total))).max())
+    # relative residual of the zero-row-sum identity A[const] = 0, read off
+    # each control's assembled generator
+    row_err = 0.0
+    for ci in range(grid.n_controls):
+        matrix = frozen_matrix(grid, np.full(grid.n, ci), 1.0, 0.0)
+        total = grid.coef_minus[ci].sum(axis=1) + grid.coef_plus[ci].sum(axis=1)
+        err = np.abs(_row_sums(grid, matrix)) / (1.0 + np.abs(total))
+        row_err = max(row_err, float(err.max()))
     per_node = []
     if include_nodes:
         # node-major nested lists: [node][control] ...

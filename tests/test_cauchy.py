@@ -3,8 +3,9 @@ import pytest
 
 import helpers
 import hjblab as hj
-from hjblab.cauchy import howard_solve, initial_state, step_explicit, step_implicit_policy
+from hjblab.cauchy import frozen_factor, howard_solve, initial_state, step_explicit, step_implicit_policy
 from hjblab.errors import ConfigError
+from hjblab.grid import maximizing_policy
 
 
 def test_explicit_constant_cost_step():
@@ -178,3 +179,41 @@ def test_evolve_metadata():
     explicit = hj.evolve(g2, u0, 0.01, mode="explicit")
     assert explicit.metadata["steps"] == int(np.ceil(0.01 / explicit.metadata["dt"] - 1e-12))
     assert "howard_sweeps" not in explicit.metadata
+
+
+def test_cached_factor_equals_a_fresh_grid_per_step():
+    problem = hj.assemble_problem(helpers.disk_config())
+    g = hj.build_grid(problem, 0.05)
+    u0 = np.random.default_rng(5).uniform(-1.0, 1.0, g.n)
+    shared = fresh = initial_state(g, u0)
+    for _ in range(10):
+        shared = step_implicit_policy(g, shared, 0.05)
+        fresh = step_implicit_policy(hj.build_grid(problem, 0.05), fresh, 0.05)
+        assert np.array_equal(shared.u, fresh.u)
+    # one control and one dt: ten steps, one factorization
+    assert g.factorizations == 1
+
+
+def test_cached_factor_is_never_stale():
+    # one grid serves calls whose consecutive operators differ in the policy
+    # or in dt, by as little as one ulp, exactly as a grid per call does
+    problem = hj.assemble_problem(helpers.two_control_disk_config())
+    g = hj.build_grid(problem, 0.1)
+    u1 = np.random.default_rng(6).uniform(-1.0, 1.0, g.n)
+    p0, p1 = maximizing_policy(g, np.zeros(g.n)), maximizing_policy(g, u1)
+    assert not np.array_equal(p0, p1)
+    ulp = np.nextafter(0.05, 1.0)
+    rhs = np.ones(g.n)
+    for policy, dt in ((p0, 0.05), (p0, 0.2), (p1, 0.2), (p1, ulp), (p0, ulp), (p0, 0.05)):
+        got = frozen_factor(g, policy, dt, 1.0).solve(rhs)
+        want = frozen_factor(hj.build_grid(problem, 0.1), policy, dt, 1.0).solve(rhs)
+        assert np.array_equal(got, want), (dt, policy is p0)
+    # Howard steps alternating two dts, each starting from the policy the
+    # last one ended on, with one restart from a field of another policy
+    u = np.zeros(g.n)
+    for dt, restart in ((0.05, None), (0.2, None), (0.2, u1), (0.05, None), (0.2, None)):
+        u = u if restart is None else restart
+        got = howard_solve(g, u, dt)
+        want = howard_solve(hj.build_grid(problem, 0.1), u, dt)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], dt
+        u = got[0]

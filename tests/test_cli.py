@@ -172,6 +172,43 @@ def test_ergodic_singular_operator_exits_one(tmp_path):
     assert not out.exists()
 
 
+def test_ergodic_singular_disk_exits_one(tmp_path):
+    cfg = helpers.disk_config()
+    cfg["controls"][0].update(b=["0", "0"], sigma=[["0", "0"], ["0", "0"]])
+    path = tmp_path / "flat-disk.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "e"
+    res = run_cli("ergodic", str(path), "--h", "0.25", "--out", str(out))
+    assert res.returncode == 1
+    assert "singular" in res.stderr and "never reaches the anchor node" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_solve_disk_records_one_factorization(tmp_path):
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(helpers.disk_config()))
+    out = tmp_path / "s"
+    res = run_cli("solve", str(path), "--h", "0.02", "--mode", "implicit", "--dt", "0.05",
+                  "--T", "0.5", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["steps"] == 10
+    assert meta["factorizations"] == 1
+
+
+def test_validate_overflowing_literal_exits_two(tmp_path):
+    cfg = helpers.disk_config()
+    cfg["controls"][0]["l"] = "1e999"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    res = run_cli("validate", str(path), "--out", str(out))
+    assert res.returncode == 2
+    assert "overflows" in res.stderr
+    assert not out.exists()
+
+
 def test_ergodic_longtime_cli(tmp_path):
     out = tmp_path / "e"
     res = run_cli("ergodic", preset_path("constantL"), "--method", "longtime",

@@ -173,9 +173,19 @@ def test_sum_and_difference_overflow_raise():
     with pytest.raises(DomainFaultError, match="overflow") as err:
         evaluate(parse("x1*1e308 + x1*1e308"), {"x1": 1.0})
     assert err.value.expression == "x1*1e+308+x1*1e+308"
+    # every operand is finite; only the difference overflows, first at x1 = 1
     with pytest.raises(DomainFaultError, match="overflow") as err:
-        evaluate(parse("x1 - 1e999"), {"x1": np.array([0.5, 1.0])})
-    assert err.value.point == {"x1": 0.5}
+        evaluate(parse("-1e308*x1 - 1e308"), {"x1": np.array([0.5, 1.0, 1.5])})
+    assert err.value.point == {"x1": 1.0}
+
+
+def test_overflowing_literal_is_refused_at_parse_time():
+    for src, offset in (("1e999", 0), ("x1 - 1e999", 5), ("-1e999", 1), ("2^-1E400", 3)):
+        with pytest.raises(ExprParseError, match="overflows") as err:
+            parse(src)
+        assert err.value.offset == offset
+    assert parse("1e308") == Num(1e308)
+    assert parse("1e-999") == Num(0.0)  # underflow to zero is exact enough to keep
 
 
 def test_array_and_pointwise_evaluation_agree_bit_for_bit():

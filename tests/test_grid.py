@@ -66,7 +66,7 @@ def _dense(grid, matrix):
 
 def test_frozen_matrix_rows_are_control_values():
     # (A_policy u)_i = control_values(u)[policy[i], i] + l[policy[i], i],
-    # for the banded (1-D) and the CSR (2-D) form
+    # for the banded (1-D) and the CSC (2-D) form
     rng = np.random.default_rng(12)
     disk = hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.125)
     for g in (helpers.grid("twoControlA", 0.01), disk):
@@ -210,6 +210,12 @@ def test_stencil_closure_on_presets():
         assert rep.forced_inward_count == 0, name
         assert rep.min_offdiagonal >= 0.0, name
         assert rep.max_row_sum_error < 1e-12, name
+
+
+def test_row_sum_error_on_a_two_control_disk():
+    # the 2-D report sums the sparse rows of each control's generator
+    g = hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.05)
+    assert stencil_report(g).max_row_sum_error < 1e-12
 
 
 def test_exterior_references_without_degeneracy():
