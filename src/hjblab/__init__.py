@@ -28,7 +28,7 @@ from .barriers import (
     find_barrier_delta,
     find_lyapunov_delta,
 )
-from .cauchy import CauchyState, Trajectory, evolve, step_explicit, step_implicit_policy
+from .cauchy import CauchyState, Trajectory, evolve, march, step_explicit, step_implicit_policy
 from .ergodic import (
     ErgodicPair,
     ErgodicSolverParams,
@@ -83,6 +83,7 @@ __all__ = [
     "find_lyapunov_delta",
     "holder_fit",
     "linear_oracle_c",
+    "march",
     "normalize_chi",
     "run_until_flat",
     "solve_ergodic_longtime",

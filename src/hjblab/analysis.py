@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry as geo
 from .barriers import find_barrier_delta
-from .cauchy import Trajectory, initial_state, step_implicit_policy
+from .cauchy import Trajectory, march
 from .ergodic import ErgodicPair
 from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField
@@ -339,26 +339,14 @@ def run_until_flat(
 ) -> tuple[Trajectory, ConvergenceReport]:
     """Evolve implicitly until the bracket gap of w = u + c t - chi is
     below 2 tol (so the uniform error at the stop is below tol), recording
-    every step.  Raises if the gap has not closed by ``t_max``."""
-    state = initial_state(grid, u0)
-    traj = Trajectory(
-        times=[0.0],
-        snapshots=[state.u.copy()],
-        metadata={
-            "problem": grid.problem.fingerprint(),
-            "h": grid.h,
-            "dt": dt,
-            "mode": "implicit",
-            "u0_sup": state.u0_sup,
-            "l_sup": state.l_sup,
-        },
-    )
-    while state.t < t_max:
-        state = step_implicit_policy(grid, state, dt)
+    every step: a :func:`~hjblab.cauchy.march` with one snapshot per step,
+    at the times k dt.  Raises if the gap has not closed by ``t_max``."""
+    traj = Trajectory()
+    for state in march(grid, u0, t_max, "implicit", dt, snapshot_every=dt, metadata=traj.metadata):
         traj.times.append(state.t)
-        traj.snapshots.append(state.u.copy())
+        traj.snapshots.append(state.u)
         w = state.u + pair.c * state.t - pair.chi
-        if float(w.max() - w.min()) < 2 * tol * 0.95:
+        if state.step_count and float(w.max() - w.min()) < 2 * tol * 0.95:
             return traj, convergence_diagnostics(traj, pair, grid)
     raise NumericalError(f"bracket gap did not close below {2 * tol} by t={t_max}")
 

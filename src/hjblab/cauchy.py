@@ -1,7 +1,9 @@
 """Time stepping for the initial-value problem u_t + H[u] = 0.
 
 No boundary condition is imposed: the spatial stencil is closed by the
-boundary degeneracy, so both steppers act on interior nodes only.
+boundary degeneracy, so both steppers act on interior nodes only, and a
+grid whose stencil would need boundary data is refused
+(:func:`hjblab.grid.require_no_boundary_data`).
 
 * :func:`step_explicit` is forward Euler, monotone under the CFL bound;
 * :func:`step_implicit_policy` is backward Euler solved by policy
@@ -9,18 +11,29 @@ boundary degeneracy, so both steppers act on interior nodes only.
   solve for the frozen controls); each frozen-control matrix is an
   M-matrix, so the step is monotone for any step size.
 
-:func:`frozen_matrix` builds that matrix, and :func:`frozen_factor` is
-the only way any solver solves it: the implicit step and the ergodic
-policy solver, whose pinned generator is a frozen matrix too.  In 1-D
-the factor is the band, which ``scipy.linalg.solve_banded`` eliminates
-at each solve; in 2-D it is ``scipy.sparse.linalg.splu`` of the CSC
-matrix.  Each grid caches its last factor in a one-entry cache keyed on
-``(policy.tobytes(), scale, shift, pin)``, with the exact float ``scale``
-(dt for a step): a fixed dt and an unchanged policy, as in every step of
-a single-control problem, cost one factorization for the whole run, and
-a step that differs by one ulp is a different matrix and is factored
-afresh.  A singular operator raises :class:`NumericalError`.  scipy is
-imported at the first solve, so the commands that never solve
+:func:`march` is the one stepping loop: a generator that yields the
+initial state and then the state at each snapshot time.  It fixes the
+sub-step once for every full snapshot window (only a shorter final window
+gets its own), checks the CFL bound before the first step, every state
+for finiteness and the a-priori bound at snapshot times, and counts the
+Howard sweeps and factorizations of the run.  :func:`evolve` collects it
+into a :class:`Trajectory`; the ``solve`` command writes each snapshot
+as it is yielded.
+
+:func:`frozen_matrix` builds the frozen-control matrix, and
+:func:`frozen_factor` is the only way any solver solves it: the implicit
+step and the ergodic policy solver, whose pinned generator is a frozen
+matrix too.  In 1-D the factor is LAPACK's tridiagonal LU with partial
+pivoting (``dgttrf``, solved by ``dgttrs``), the elimination that
+``scipy.linalg.solve_banded`` would repeat at each solve; in 2-D it is
+``scipy.sparse.linalg.splu`` of the CSC matrix.  Each grid caches its
+last factor in a one-entry cache keyed on ``(policy.tobytes(), scale,
+shift, pin)``, with the exact float ``scale`` (dt for a step): a fixed
+dt and an unchanged policy, as in every step of a single-control
+problem, cost one factorization for the whole run, and a step that
+differs by one ulp is a different matrix and is factored afresh.  A
+singular operator raises :class:`NumericalError` when it is factored.
+scipy is imported at the first solve, so the commands that never solve
 (validate, certify) skip its import.
 
 Every evolution enforces the a-priori bound
@@ -29,12 +42,13 @@ Every evolution enforces the a-priori bound
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import Grid, GridField, apply_H, cfl_dt, control_values
+from .grid import Grid, GridField, apply_H, cfl_dt, control_values, require_no_boundary_data
 
 BOUND_RTOL = 1e-9
 
@@ -136,19 +150,22 @@ def frozen_matrix(
 
 
 class _BandFactor:
-    """A 1-D frozen operator: ``solve_banded`` eliminates the tridiagonal
-    band at each solve, so the band itself is what is cached."""
+    """A 1-D frozen operator factored once by LAPACK's tridiagonal LU with
+    partial pivoting (``dgttrf``); each solve is the two triangular sweeps
+    of ``dgttrs``.  These are the pivots and operations of the ``gtsv``
+    behind ``scipy.linalg.solve_banded``, so the solutions are the same bits.
+    A singular band (``info > 0``) raises :class:`NumericalError` here."""
 
     def __init__(self, band: np.ndarray):
-        self.band = band
+        from scipy.linalg import lapack
+
+        *self._lu, info = lapack.dgttrf(band[2, :-1], band[1], band[0, 1:])
+        if info > 0:
+            raise NumericalError("the frozen-policy operator is singular")
+        self._dgttrs = lapack.dgttrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        import scipy.linalg
-
-        try:
-            return scipy.linalg.solve_banded((1, 1), self.band, rhs)
-        except np.linalg.LinAlgError:
-            raise NumericalError("the frozen-policy operator is singular") from None
+        return self._dgttrs(*self._lu, rhs)[0]
 
 
 def frozen_factor(
@@ -165,8 +182,7 @@ def frozen_factor(
     The grid keeps the last factor, keyed on the policy bytes and the
     exact scalars; a hit returns it without rebuilding the matrix, a miss
     replaces it and adds one to ``grid.factorizations``.  A singular
-    operator raises :class:`NumericalError`: in 2-D when it is factored,
-    in 1-D when it is solved.
+    operator raises :class:`NumericalError` when it is factored.
     """
     key = (policy.tobytes(), scale, shift, pin)
     if grid._frozen is not None and grid._frozen[0] == key:
@@ -201,16 +217,19 @@ def howard_solve(
     ``|u + dt H[u] - u_old|`` drops below ``residual_tol`` (scaled by
     the data size).  A stationary policy means the last solve already
     satisfies the Bellman step up to linear-solve roundoff.  Returns
-    (solution, sweeps used, final residual).
+    (solution, sweeps used, final residual).  A grid that needs boundary
+    data and a solve that is not finite raise :class:`NumericalError`.
     """
     if not dt > 0:
         raise ConfigError("dt must be positive")
+    require_no_boundary_data(grid)
     scale = max(1.0, float(np.abs(u_old).max()), grid.l_sup() * dt)
     policy = np.argmax(control_values(grid, u_old), axis=0)
     last_residual = np.inf
     for sweep in range(1, max_sweeps + 1):
         rhs = u_old + dt * grid.l[policy, np.arange(grid.n)]
         u = frozen_factor(grid, policy, scale=dt, shift=1.0).solve(rhs)
+        _check_finite(grid, u)
         vals = control_values(grid, u)
         new_policy = np.argmax(vals, axis=0)
         last_residual = float(np.abs(u + dt * np.max(vals, axis=0) - u_old).max())
@@ -236,6 +255,113 @@ def step_implicit_policy(
     return CauchyState(state.t + dt, u, state.u0_sup, state.l_sup, state.step_count + 1, sweeps)
 
 
+def _check_finite(grid: Grid, u: GridField, t: float | None = None) -> None:
+    if not np.isfinite(u).all():
+        bad = int(np.argmax(~np.isfinite(u)))
+        at = "" if t is None else f", t={t}"
+        raise NumericalError(f"non-finite value at node {bad} (x={grid.x[bad].tolist()}){at}")
+
+
+def _substeps(span: float, dt: float) -> tuple[int, float]:
+    """The fewest equal steps of at most ``dt`` (up to roundoff) that cover
+    ``span``, and their length."""
+    count = max(1, int(np.ceil(span / dt - 1e-12)))
+    return count, span / count
+
+
+def march(
+    grid: Grid,
+    u0: GridField,
+    T: float,
+    mode: str = "explicit",
+    dt: float | None = None,
+    snapshot_every: float | None = None,
+    metadata: dict | None = None,
+) -> Iterator[CauchyState]:
+    """Evolve from ``u0`` to time ``T``, yielding the initial state and
+    then the state at each snapshot time.
+
+    ``mode`` is ``"explicit"`` (dt defaults to 0.999 times the CFL bound)
+    or ``"implicit"`` (dt required, no stability restriction).  Snapshots
+    fall every ``snapshot_every`` (default ``T``) of simulation time and
+    at ``T``.  Every full window is covered by the same sub-step,
+    ``snapshot_every / ceil(snapshot_every / dt)``, computed once, so a
+    fixed dt stays exactly fixed and an implicit run reuses one
+    factorization; only a final window shorter than ``snapshot_every``
+    gets its own sub-step.  The recorded time of a snapshot is its target
+    time, not the sum of the sub-steps.  An explicit sub-step above the
+    CFL bound is refused before the first step; a non-finite value aborts
+    with the offending node, and the a-priori bound is checked at every
+    snapshot.  A grid that needs boundary data is refused.  Each step
+    returns new arrays, so a yielded ``state.u`` may be kept as it is.
+
+    If ``metadata`` is given, march records the run in it: the problem
+    fingerprint, ``h``, ``dt`` (the requested or default step), ``mode``,
+    ``snapshot_every``, ``u0_sup``, ``l_sup`` and ``steps``, and in
+    implicit mode the total and the largest number of Howard sweeps per
+    step and ``factorizations``, the frozen operators factored during the
+    run (misses of the :func:`frozen_factor` cache: one for a fixed dt and
+    policy on a fresh grid).  The counters are current at each yield.
+    Nothing is checked or recorded until the first state is requested.
+    """
+    if not T > 0:
+        raise ConfigError("T must be positive")
+    if mode not in ("explicit", "implicit"):
+        raise ConfigError(f"unknown stepping mode {mode!r}")
+    if mode == "implicit" and dt is None:
+        raise ConfigError("implicit stepping needs an explicit dt")
+    if dt is not None and not dt > 0:
+        raise ConfigError("dt must be positive")
+    if snapshot_every is None:
+        snapshot_every = T
+    if not snapshot_every > 0:
+        raise ConfigError("the snapshot cadence must be positive")
+    require_no_boundary_data(grid)
+    implicit = mode == "implicit"
+    limit = np.inf if implicit else cfl_dt(grid)
+    base_dt = dt if dt is not None else 0.999 * limit
+    n_snaps = int(np.ceil(T / snapshot_every - 1e-12))
+    full = _substeps(snapshot_every, base_dt)
+    last_span = T - (n_snaps - 1) * snapshot_every
+    last = full if n_snaps - T / snapshot_every <= 1e-9 else _substeps(last_span, base_dt)
+    step = max(full[1], last[1])
+    if step > limit * (1 + 1e-9):
+        raise ConfigError(f"dt={step} exceeds the monotonicity bound {limit}")
+
+    state = initial_state(grid, u0)
+    record = metadata if metadata is not None else {}
+    record.update(
+        problem=grid.problem.fingerprint(),
+        h=grid.h,
+        dt=base_dt,
+        mode=mode,
+        snapshot_every=snapshot_every,
+        u0_sup=state.u0_sup,
+        l_sup=state.l_sup,
+        steps=0,
+    )
+    if implicit:
+        record.update(howard_sweeps=0, max_howard_sweeps=0, factorizations=0)
+    factorizations = grid.factorizations
+    yield state
+    for js in range(1, n_snaps + 1):
+        count, sub = full if js < n_snaps else last
+        for _ in range(count):
+            if implicit:
+                state = step_implicit_policy(grid, state, sub)
+                record["howard_sweeps"] += state.sweeps
+                record["max_howard_sweeps"] = max(record["max_howard_sweeps"], state.sweeps)
+            else:
+                state = step_explicit(grid, state, sub)
+            _check_finite(grid, state.u, state.t)
+        state.t = min(js * snapshot_every, T)  # the target, without accumulated drift
+        state.check_bound()
+        record["steps"] = state.step_count
+        if implicit:
+            record["factorizations"] = grid.factorizations - factorizations
+        yield state
+
+
 def evolve(
     grid: Grid,
     u0: GridField,
@@ -244,69 +370,18 @@ def evolve(
     dt: float | None = None,
     snapshot_every: float | None = None,
 ) -> Trajectory:
-    """Evolve from ``u0`` to time ``T`` and record snapshots.
+    """Evolve from ``u0`` to time ``T`` and keep every snapshot.
 
-    ``mode`` is ``"explicit"`` (dt defaults to the CFL bound) or
-    ``"implicit"`` (dt required, no stability restriction).  Snapshot
-    cadence is simulation-time driven; the initial field is always the
-    first snapshot.  NaNs abort with the offending node; the a-priori
-    bound is enforced at every snapshot.  The metadata records the step
-    count and, in implicit mode, the total and the largest number of
-    Howard sweeps per step and ``factorizations``, the frozen operators
-    factored during the run (misses of the :func:`frozen_factor` cache:
-    one for a fixed dt and policy on a fresh grid).
+    A thin collector over :func:`march`, which sets the stepping rules,
+    checks and metadata: the trajectory holds each yielded time and field,
+    the initial field first, and the run's ``metadata`` (the step count
+    and, in implicit mode, ``howard_sweeps``, ``max_howard_sweeps`` and
+    ``factorizations``).  Memory grows with snapshots times nodes; a
+    caller that only writes or reduces each snapshot iterates
+    :func:`march` instead.
     """
-    if not T > 0:
-        raise ConfigError("T must be positive")
-    if mode not in ("explicit", "implicit"):
-        raise ConfigError(f"unknown stepping mode {mode!r}")
-    if mode == "implicit" and dt is None:
-        raise ConfigError("implicit stepping needs an explicit dt")
-    base_dt = dt if dt is not None else 0.999 * cfl_dt(grid)
-    if snapshot_every is None:
-        snapshot_every = T
-    n_snaps = int(np.ceil(T / snapshot_every - 1e-12))
-
-    state = initial_state(grid, u0)
-    traj = Trajectory(
-        times=[0.0],
-        snapshots=[state.u.copy()],
-        metadata={
-            "problem": grid.problem.fingerprint(),
-            "h": grid.h,
-            "dt": base_dt,
-            "mode": mode,
-            "snapshot_every": snapshot_every,
-            "u0_sup": state.u0_sup,
-            "l_sup": state.l_sup,
-        },
-    )
-    total_sweeps = max_sweeps = 0
-    factorizations = grid.factorizations
-    for js in range(1, n_snaps + 1):
-        target = min(js * snapshot_every, T)
-        span = target - state.t
-        n_sub = max(1, int(np.ceil(span / base_dt - 1e-12)))
-        sub = span / n_sub
-        for _ in range(n_sub):
-            if mode == "explicit":
-                state = step_explicit(grid, state, sub)
-            else:
-                state = step_implicit_policy(grid, state, sub)
-                total_sweeps += state.sweeps
-                max_sweeps = max(max_sweeps, state.sweeps)
-            if not np.isfinite(state.u).all():
-                bad = int(np.argmax(~np.isfinite(state.u)))
-                raise NumericalError(
-                    f"non-finite value at node {bad} (x={grid.x[bad].tolist()}), t={state.t}"
-                )
-        state.t = target  # avoid accumulated drift in the recorded time
-        state.check_bound()
+    traj = Trajectory()
+    for state in march(grid, u0, T, mode, dt, snapshot_every, metadata=traj.metadata):
         traj.times.append(state.t)
-        traj.snapshots.append(state.u.copy())
-    traj.metadata["steps"] = state.step_count
-    if mode == "implicit":
-        traj.metadata["howard_sweeps"] = total_sweeps
-        traj.metadata["max_howard_sweeps"] = max_sweeps
-        traj.metadata["factorizations"] = grid.factorizations - factorizations
+        traj.snapshots.append(state.u)
     return traj

@@ -7,7 +7,8 @@ outputs; re-running with an identical manifest reproduces identical
 bytes.
 
 Exit codes: 0 success, 1 a numerical or theory check failed, 2 bad
-configuration or arguments.  Nothing is written on exit code 2.
+configuration or arguments.  Nothing is written on exit code 2, and a
+``solve`` that fails removes the snapshots it had already streamed.
 """
 
 from __future__ import annotations
@@ -156,6 +157,28 @@ def _ergodic_pair(grid, method: str = "policy", tolerance: float = 1e-8, dt: flo
     return solve(grid, ergodic.ErgodicSolverParams(tolerance=tolerance, dt=dt))
 
 
+def _write_snapshots(out: str, coords, states) -> list[float]:
+    """Write each state as ``snap_{idx:06d}.csv`` as it is yielded, holding
+    no list of fields, and return the snapshot times.  If the evolution
+    fails, the snapshots already written are removed, and so is ``out`` if
+    this call created it and it is left empty: a failed solve writes nothing."""
+    created = not os.path.isdir(out)
+    paths, times = [], []
+    try:
+        for idx, state in enumerate(states):
+            path = os.path.join(out, f"snap_{idx:06d}.csv")
+            iotools.write_field_csv(path, coords, state.u)
+            paths.append(path)
+            times.append(state.t)
+    except BaseException:
+        for path in paths:
+            os.unlink(path)
+        if created and os.path.isdir(out) and not os.listdir(out):
+            os.rmdir(out)
+        raise
+    return times
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -219,23 +242,19 @@ def _dispatch(args, config: dict, problem) -> int:
     if args.command == "solve":
         u0 = _u0_field(grid, args.u0, args.seed)
         snap = args.snap if args.snap is not None else args.T
-        traj = cauchy.evolve(grid, u0, args.T, mode=args.mode, dt=args.dt, snapshot_every=snap)
+        meta: dict = {}
+        states = cauchy.march(grid, u0, args.T, args.mode, args.dt, snap, metadata=meta)
+        times = _write_snapshots(out, iotools.coordinate_text(grid.x), states)
         manifest = _manifest(
             args, config,
-            {"h": h, "dt": traj.metadata["dt"], "mode": args.mode, "T": args.T,
+            {"h": h, "dt": meta["dt"], "mode": args.mode, "T": args.T,
              "u0": args.u0, "snapshot_every": snap,
              "outputs": ["metadata.json", "stencil.json", "snapshots"]},
         )
         iotools.write_json(os.path.join(out, "manifest.json"), manifest)
-        iotools.write_json(
-            os.path.join(out, "metadata.json"),
-            {**traj.metadata, "times": traj.times},
-        )
+        iotools.write_json(os.path.join(out, "metadata.json"), {**meta, "times": times})
         iotools.write_json(os.path.join(out, "stencil.json"), stencil_report(grid).to_dict())
-        coords = iotools.coordinate_text(grid.x)
-        for idx, snap_field in enumerate(traj.snapshots):
-            iotools.write_field_csv(os.path.join(out, f"snap_{idx:06d}.csv"), coords, snap_field)
-        print(f"evolved to T={args.T} with {len(traj.snapshots)} snapshots")
+        print(f"evolved to T={args.T} with {len(times)} snapshots")
         return 0
 
     if args.command == "ergodic":

@@ -13,16 +13,21 @@ Three solvers:
   re-anchored at a fixed interior node, converging to the discrete fixed
   point directly.
 
-The last two march the evolution and serve as independent cross-checks
-of the first.  Every frozen operator, the pinned generator and the
-implicit step's ``I + dt A``, is solved through
-:func:`hjblab.cauchy.frozen_factor`, whose one-entry cache on the grid
-is keyed on ``(policy.tobytes(), scale, shift, pin)`` with the exact
-float step: the implicit steps of RVI and of the longtime march reuse
-one factorization for as long as dt and the policy stay the same.
-A singular frozen operator (some node never reaches the anchor) raises
-:class:`NumericalError`, in 2-D from ``splu``'s exactly singular factor
-and in 1-D from ``solve_banded``.
+The last two take implicit steps and serve as independent cross-checks
+of the first.  The longtime solver runs :func:`hjblab.cauchy.march`
+between its sampling times.  RVI keeps its own loop: it re-anchors the
+field after every step, so its iterate is not a solution of the Cauchy
+problem, and it has no snapshot times and no a-priori bound to check.
+Every frozen operator, the pinned generator and the implicit step's
+``I + dt A``, is solved through :func:`hjblab.cauchy.frozen_factor`,
+whose one-entry cache on the grid is keyed on
+``(policy.tobytes(), scale, shift, pin)`` with the exact float step: the
+implicit steps of RVI and of the longtime march reuse one factorization
+for as long as dt and the policy stay the same.  A singular frozen
+operator (some node never reaches the anchor) raises
+:class:`NumericalError` when it is factored, from ``splu`` in 2-D and
+from LAPACK's ``dgttrf`` in 1-D.  Every solver refuses a grid whose
+stencil needs boundary data (:func:`hjblab.grid.require_no_boundary_data`).
 
 Every solver reports the residual ``sup |H[chi] - c|`` over nodes with
 d >= 10 h and raises :class:`NumericalError` unless it is below the
@@ -37,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import CauchyState, frozen_factor, initial_state, step_implicit_policy
+from .cauchy import CauchyState, frozen_factor, march, step_implicit_policy
 from .errors import ConfigError, NumericalError
-from .grid import Grid, GridField, apply_H, cfl_dt, maximizing_policy
+from .grid import Grid, GridField, apply_H, cfl_dt, maximizing_policy, require_no_boundary_data
 
 MAX_POLICY_ITERATIONS = 100
 
@@ -119,10 +124,11 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
     the solve raises :class:`NumericalError`.
     """
     params = params or ErgodicSolverParams()
+    require_no_boundary_data(grid)
     anchor = _anchor(grid, params)
     n = grid.n
-    gather_minus = grid._gather_minus[anchor]
-    gather_plus = grid._gather_plus[anchor]
+    gather_minus = grid._gather_minus[:, anchor]
+    gather_plus = grid._gather_plus[:, anchor]
     rhs = np.ones((n, 2))
     rhs[anchor] = 0.0
     policy = maximizing_policy(grid, np.zeros(n))
@@ -178,26 +184,25 @@ def solve_ergodic_longtime(grid: Grid, params: ErgodicSolverParams | None = None
     differ by less than the tolerance and the corrector residual is small.
     """
     params = params or ErgodicSolverParams()
+    require_no_boundary_data(grid)
     dt = params.dt if params.dt is not None else 0.01
-    state = initial_state(grid, np.zeros(grid.n))
 
-    def advance(state: CauchyState, target: float) -> CauchyState:
-        while state.t < target - 1e-12:
-            step = min(dt, target - state.t)
-            state = step_implicit_policy(grid, state, step)
+    def advance(u: GridField, span: float) -> CauchyState:
+        for state in march(grid, u, span, "implicit", dt):
+            pass
         return state
 
-    state = advance(state, params.t1)
-    t_prev, mean_prev = state.t, float(state.u.mean())
+    state = advance(np.zeros(grid.n), params.t1)
+    steps = state.step_count
+    t_prev, mean_prev = params.t1, float(state.u.mean())
     t_hi = params.t2
     c_prev = None
-    steps = 0
     for _ in range(60):
-        state = advance(state, t_hi)
-        steps = state.step_count
+        state = advance(state.u, t_hi - t_prev)
+        steps += state.step_count
         mean_now = float(state.u.mean())
-        c_now = -(mean_now - mean_prev) / (state.t - t_prev)
-        chi = normalize_chi(state.u + c_now * state.t)
+        c_now = -(mean_now - mean_prev) / (t_hi - t_prev)
+        chi = normalize_chi(state.u + c_now * t_hi)
         residual, boundary_res = _residuals(grid, chi, c_now)
         settled = c_prev is not None and abs(c_now - c_prev) < params.tolerance
         if settled and residual < max(params.tolerance, 1e-8):
@@ -210,7 +215,7 @@ def solve_ergodic_longtime(grid: Grid, params: ErgodicSolverParams | None = None
                 boundary_residual=boundary_res,
             )
         c_prev = c_now
-        t_prev, mean_prev = state.t, mean_now
+        t_prev, mean_prev = t_hi, mean_now
         t_hi *= 2.0
     raise NumericalError(
         f"longtime ergodic estimate did not settle (last c={c_prev}, horizon {t_hi})"
@@ -225,6 +230,7 @@ def solve_ergodic_rvi(grid: Grid, params: ErgodicSolverParams | None = None) -> 
     the interior residual of the candidate pair is below the tolerance.
     """
     params = params or ErgodicSolverParams()
+    require_no_boundary_data(grid)
     dt = params.dt if params.dt is not None else 10.0 * cfl_dt(grid)
     anchor = _anchor(grid, params)
 

@@ -39,6 +39,14 @@ control index first: ``coef_minus``, ``coef_plus``, ``b_raw``, ``a_diag``,
 ``(n_controls, n, N, 2)`` with the minus side first.  Every solver reads
 or indexes these tables: :func:`control_values` is one broadcast over all
 controls at once, and a frozen policy picks its rows with one fancy index.
+The build also keeps per-axis contiguous copies of the coefficient
+tables, ``(N, n_controls, n)``, and the neighbor gather indices per axis,
+``(N, n)``, which :func:`control_values` reads one axis at a time.
+
+A boundary face whose normal diffusivity survives the clamp would need a
+boundary datum.  :func:`build_grid` and :func:`stencil_report` accept such
+a grid and count those faces; every solver refuses it through
+:func:`require_no_boundary_data`.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .problem import ControlProblem, quadratic_form
 
 GridField = np.ndarray  # one real per node
@@ -211,10 +219,13 @@ class Grid:
         self.coef_plus = -(self.face[..., 1] * has_plus) / h2 + np.where(
             (updir == 1) & drift_ok, -bt / h, 0.0
         )
-        # gather indices with missing neighbors redirected to the node itself,
-        # so that (u[nbr] - u) vanishes there
-        self._gather_minus = np.where(has_minus, self._nbr[:, :, 0], np.arange(n)[:, None])
-        self._gather_plus = np.where(has_plus, self._nbr[:, :, 1], np.arange(n)[:, None])
+        # per-axis (N, n) gather indices with missing neighbors redirected to
+        # the node itself, so that (u[nbr] - u) vanishes there
+        self._gather_minus = np.where(has_minus, self._nbr[:, :, 0], np.arange(n)[:, None]).T.copy()
+        self._gather_plus = np.where(has_plus, self._nbr[:, :, 1], np.arange(n)[:, None]).T.copy()
+        # per-axis contiguous copies of the coefficients, one (n_controls, n) slab per axis
+        self._axis_coef_minus = np.ascontiguousarray(self.coef_minus.transpose(2, 0, 1))
+        self._axis_coef_plus = np.ascontiguousarray(self.coef_plus.transpose(2, 0, 1))
         # the stencil is fixed from here on: its worst explicit rate, for cfl_dt
         self._max_rate = float(_explicit_rates(self).max())
 
@@ -246,27 +257,49 @@ def build_grid(problem: ControlProblem, h: float) -> Grid:
 def control_values(grid: Grid, u: GridField) -> np.ndarray:
     """Per-control operator values (n_controls, n): A_c u - l_c.
 
-    One broadcast of the stacked stencil tables over all controls, written
+    One broadcast of the per-axis stencil tables over all controls, written
     purely in neighbor differences so that shifting ``u`` by an exactly
     representable constant leaves the result bit-identical.  The axis
-    terms are added left to right, ``(m_1 + .. + m_N) + (p_1 + .. + p_N) - l``.
+    terms are added left to right, ``(m_1 + .. + m_N) + (p_1 + .. + p_N) - l``,
+    in place.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n,):
         raise ConfigError(f"field has shape {u.shape}, expected ({grid.n},)")
-    terms_minus = grid.coef_minus * (u[grid._gather_minus] - u[:, None])
-    terms_plus = grid.coef_plus * (u[grid._gather_plus] - u[:, None])
-    minus, plus = terms_minus[..., 0], terms_plus[..., 0]
+    cm, cp = grid._axis_coef_minus, grid._axis_coef_plus
+    gm, gp = grid._gather_minus, grid._gather_plus
+    minus = cm[0] * (u[gm[0]] - u)
+    plus = cp[0] * (u[gp[0]] - u)
     for k in range(1, grid.ndim):
-        minus = minus + terms_minus[..., k]
-        plus = plus + terms_plus[..., k]
-    return minus + plus - grid.l
+        minus += cm[k] * (u[gm[k]] - u)
+        plus += cp[k] * (u[gp[k]] - u)
+    minus += plus
+    minus -= grid.l
+    return minus
 
 
 def apply_H(grid: Grid, u: GridField) -> GridField:
     """Node-wise Bellman operator: max over controls of the stencil values."""
-    vals = control_values(grid, u)
-    return np.max(vals, axis=0)
+    return np.maximum.reduce(control_values(grid, u), axis=0)
+
+
+def require_no_boundary_data(grid: Grid) -> None:
+    """Refuse a grid whose stencil needs boundary data.
+
+    A boundary face whose normal diffusivity is at least h^2 is an exterior
+    reference (``face_dropped``): the scheme would treat it as zero flux,
+    which is a boundary condition the problem does not supply.  Raises
+    :class:`NumericalError` naming the count of such faces and the first
+    node that has one.
+    """
+    if not grid.face_dropped.any():
+        return
+    i = int(np.argmax(grid.face_dropped.any(axis=(0, 2, 3))))
+    raise NumericalError(
+        f"{int(grid.face_dropped.sum())} boundary faces keep a normal diffusivity of at "
+        f"least h^2, first at node {i} (x={grid.x[i].tolist()}): the problem is not "
+        "degenerate there and would need boundary data"
+    )
 
 
 def maximizing_policy(grid: Grid, u: GridField) -> np.ndarray:

@@ -3,8 +3,16 @@ import pytest
 
 import helpers
 import hjblab as hj
-from hjblab.cauchy import frozen_factor, howard_solve, initial_state, step_explicit, step_implicit_policy
-from hjblab.errors import ConfigError
+from hjblab import cauchy
+from hjblab.cauchy import (
+    frozen_factor,
+    frozen_matrix,
+    howard_solve,
+    initial_state,
+    step_explicit,
+    step_implicit_policy,
+)
+from hjblab.errors import ConfigError, NumericalError
 from hjblab.grid import maximizing_policy
 
 
@@ -154,6 +162,97 @@ def test_bad_inputs():
         hj.evolve(g, np.zeros(g.n), 1.0, mode="magic")
     with pytest.raises(ConfigError):
         initial_state(g, np.zeros(g.n + 1))
+    for kwargs in ({"dt": 0.0}, {"dt": -0.1}, {"snapshot_every": 0.0}):
+        with pytest.raises(ConfigError):
+            hj.evolve(g, np.zeros(g.n), 1.0, mode="implicit", **{"dt": 0.1, **kwargs})
+    # an explicit step above the CFL bound is refused before any state is yielded
+    states = hj.march(g, np.zeros(g.n), 1.0, dt=2 * hj.cfl_dt(g))
+    with pytest.raises(ConfigError, match="monotonicity bound"):
+        next(states)
+
+
+@pytest.mark.parametrize("mode,dt", [("explicit", None), ("implicit", 0.03)])
+def test_substep_is_fixed_across_windows(monkeypatch, mode, dt):
+    # the window [0.2, 0.3] spans 0.30000000000000004 - 0.2, one ulp away from
+    # the others: re-deriving the step per window would move it by an ulp
+    g = helpers.grid("smoothA", 0.01)
+    name = "step_explicit" if mode == "explicit" else "step_implicit_policy"
+    taken = []
+
+    def record(grid, state, step):
+        taken.append(step)
+        return original(grid, state, step)
+
+    original = getattr(cauchy, name)
+    monkeypatch.setattr(cauchy, name, record)
+    base = dt if dt is not None else 0.999 * hj.cfl_dt(g)
+    per_window = int(np.ceil(0.1 / base - 1e-12))
+    traj = hj.evolve(g, np.zeros(g.n), 0.55, mode=mode, dt=dt, snapshot_every=0.1)
+    assert traj.times == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.55]
+    full, last = taken[: 5 * per_window], taken[5 * per_window :]
+    assert set(full) == {0.1 / per_window}
+    # only the shorter final window, 0.55 - 0.5, gets its own step
+    assert last == [(0.55 - 0.5) / len(last)] * len(last)
+    assert last[0] <= base
+    assert traj.metadata["steps"] == len(taken)
+
+
+@pytest.mark.parametrize("name", helpers.PRESETS)
+def test_band_factor_equals_solve_banded(name):
+    # the 1-D factor is dgttrf/dgttrs: the same pivots and operations as
+    # solve_banded's gtsv, so every solve matches bit for bit
+    import scipy.linalg
+
+    problem = helpers.problem(name)
+    rng = np.random.default_rng(8)
+    for h in (0.004, 0.002, 0.001):
+        g = hj.build_grid(problem, h)
+        anchor = int(np.argmax(g.d))
+        policy = rng.integers(0, g.n_controls, g.n)
+        rhs = rng.uniform(-1.0, 1.0, (g.n, 2))
+        for scale, shift, pin in ((0.01, 1.0, None), (10.0, 1.0, None), (1.0, 0.0, anchor)):
+            factor = frozen_factor(g, policy, scale, shift, pin)
+            band = frozen_matrix(g, policy, scale, shift, pin)
+            want = scipy.linalg.solve_banded((1, 1), band, rhs)
+            assert np.array_equal(factor.solve(rhs), want), (h, pin)
+            assert np.array_equal(factor.solve(rhs[:, 0]), want[:, 0]), (h, pin)
+
+
+def test_singular_band_is_refused_when_factored():
+    g = hj.build_grid(hj.assemble_problem(helpers.flat_config()), 0.1)
+    with pytest.raises(NumericalError, match="singular"):
+        frozen_factor(g, np.zeros(g.n, dtype=np.int64), 1.0, 0.0, pin=g.n // 2)
+    assert g.factorizations == 0
+
+
+def test_solvers_refuse_a_grid_that_needs_boundary_data():
+    # sigma = 1 leaves the normal diffusivity above h^2 at both ends
+    g = hj.build_grid(hj.assemble_problem(helpers.sigma_one_config()), 0.01)
+    assert hj.stencil_report(g).exterior_reference_count == 2
+    message = r"2 boundary faces .* first at node 0 \(x=\[0\.01\]\)"
+    u0 = np.zeros(g.n)
+    solvers = (
+        lambda: hj.evolve(g, u0, 0.1),
+        lambda: hj.evolve(g, u0, 0.1, mode="implicit", dt=0.05),
+        lambda: howard_solve(g, u0, 0.05),
+        lambda: hj.solve_ergodic_policy(g),
+        lambda: hj.solve_ergodic_rvi(g),
+        lambda: hj.solve_ergodic_longtime(g),
+    )
+    for solve in solvers:
+        with pytest.raises(NumericalError, match=message):
+            solve()
+    assert g.factorizations == 0
+
+
+def test_overflowing_implicit_step_is_a_numerical_failure():
+    cfg = helpers.sigma_one_config()
+    cfg["controls"][0].update(sigma=[["x1*(1-x1)"]], l="1e308")
+    g = hj.build_grid(hj.assemble_problem(cfg), 0.01)
+    states = hj.march(g, np.zeros(g.n), 30.0, mode="implicit", dt=10.0, snapshot_every=10.0)
+    assert next(states).t == 0.0
+    with pytest.raises(NumericalError, match="non-finite value at node 0"):
+        next(states)
 
 
 def test_evolve_metadata():
@@ -167,9 +266,10 @@ def test_evolve_metadata():
     g2 = helpers.grid("twoControlA", 0.01)
     u0 = np.random.default_rng(4).uniform(-1.0, 1.0, g2.n)
     traj = hj.evolve(g2, u0, 0.3, mode="implicit", dt=0.1, snapshot_every=0.1)
+    # every window is one step of exactly dt, not of the gap between its times
     state, sweeps = initial_state(g2, u0), []
-    for t0, t1 in zip(traj.times, traj.times[1:]):
-        state = step_implicit_policy(g2, state, t1 - t0)
+    for _ in traj.times[1:]:
+        state = step_implicit_policy(g2, state, 0.1)
         sweeps.append(state.sweeps)
     assert np.array_equal(state.u, traj.final())
     assert max(sweeps) >= 2

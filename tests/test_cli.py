@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import helpers
+import hjblab as hj
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
 
@@ -195,6 +197,77 @@ def test_solve_disk_records_one_factorization(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["steps"] == 10
     assert meta["factorizations"] == 1
+    # five snapshot windows share one sub-step, so one factor serves them all
+    out = tmp_path / "windows"
+    res = run_cli("solve", str(path), "--h", "0.02", "--mode", "implicit", "--dt", "0.05",
+                  "--T", "0.5", "--snap", "0.1", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["steps"] == 10 and len(meta["times"]) == 6
+    assert meta["factorizations"] == 1
+
+
+def _snapshot_values(out):
+    paths = sorted(out.glob("snap_*.csv"))
+    return [
+        np.array([float(line.rsplit(",", 1)[1]) for line in p.read_text().splitlines()[1:]])
+        for p in paths
+    ]
+
+
+@pytest.mark.parametrize("name,mode,dt,snap,T", [
+    ("smoothA", "implicit", "0.01", "0.01", "0.5"),
+    ("twoControlA", "explicit", None, "0.02", "0.1"),
+])
+def test_solve_streams_the_snapshots_of_evolve(tmp_path, name, mode, dt, snap, T):
+    out = tmp_path / "s"
+    step = ("--dt", dt) if dt else ()
+    res = run_cli("solve", preset_path(name), "--h", "0.01", "--mode", mode, *step,
+                  "--snap", snap, "--T", T, "--u0", "random", "--seed", "3", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    g = hj.build_grid(hj.assemble_problem({"preset": name}), 0.01)
+    u0 = np.random.default_rng(3).uniform(-1.0, 1.0, g.n)
+    traj = hj.evolve(g, u0, float(T), mode=mode, dt=dt and float(dt), snapshot_every=float(snap))
+    streamed = _snapshot_values(out)
+    assert len(streamed) == len(traj.snapshots)
+    assert all(np.array_equal(a, b) for a, b in zip(streamed, traj.snapshots))
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta == {**traj.metadata, "times": traj.times}
+    assert f"with {len(traj.snapshots)} snapshots" in res.stdout
+    if mode == "implicit":
+        # fifty windows of one step each, all of exactly dt: one factorization
+        assert meta["steps"] == 50 and meta["factorizations"] == 1
+
+
+def test_solve_overflowing_implicit_step_exits_one(tmp_path):
+    cfg = helpers.sigma_one_config()
+    cfg["controls"][0].update(sigma=[["x1*(1-x1)"]], l="1e308")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    res = run_cli("solve", str(path), "--mode", "implicit", "--dt", "10", "--snap", "10",
+                  "--T", "30", "--out", str(out))
+    assert res.returncode == 1
+    assert "numerical failure: non-finite value at node" in res.stderr
+    assert "Traceback" not in res.stderr
+    # the initial snapshot was streamed before the failure and is removed again
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("ergodic",),
+    ("solve", "--T", "0.1"),
+    ("solve", "--T", "0.1", "--mode", "implicit", "--dt", "0.05"),
+])
+def test_solvers_refuse_boundary_data(tmp_path, command):
+    cfg = tmp_path / "sigma-one.json"
+    cfg.write_text(json.dumps(helpers.sigma_one_config()))
+    out = tmp_path / "never"
+    res = run_cli(command[0], str(cfg), "--h", "0.01", *command[1:], "--out", str(out))
+    assert res.returncode == 1
+    assert "2 boundary faces" in res.stderr and "first at node 0 (x=[0.01])" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
 
 
 def test_validate_overflowing_literal_exits_two(tmp_path):
