@@ -13,10 +13,10 @@ no finite differences involved.  Two families matter:
 * the bounded barrier g(d) = d^rho - 1, 0 < rho < 1 - gamma, with the
   same property, which yields boundary envelopes for solutions.
 
-The certificate search scans a descending lattice of collar widths and
-verifies the inequality pointwise on a geometric sample ladder.  Profiles
-act on arrays of distances, and :func:`eval_F_radial` evaluates a whole
-block of points at once.
+The certificate search finds the widest collar of a descending lattice
+on which the inequality holds pointwise on a geometric sample ladder.
+Profiles act on arrays of distances, and :func:`eval_F_radial` evaluates
+a whole block of points at once.
 """
 
 from __future__ import annotations
@@ -140,7 +140,14 @@ def _scan_delta(problem, profile, M, grid_step, theoretical=None):
     """Largest lattice delta with F[g] <= -M at every sample below it.
 
     The samples are a geometric d-ladder over the full collar along each
-    boundary ray, evaluated one ray at a time.
+    boundary ray, evaluated one ray at a time.  The running maximum of F
+    over the samples sorted by d is nondecreasing, so the admissible
+    collars are exactly ``dvals[0] < delta <= dvals[i]``, where ``i`` is
+    the first sample at which ``cummax + M <= 0`` fails (NaN fails); with
+    no failing sample there is no upper end.  One binary search over
+    ``cummax`` finds ``i``; the certificate is the largest point of the
+    descending lattice ``width, width - grid_step, ...`` in that interval,
+    found by a second one.
     """
     dom = problem.domain
     width = geo.collar_width(dom)
@@ -150,34 +157,48 @@ def _scan_delta(problem, profile, M, grid_step, theoretical=None):
     dvals = np.repeat(ds, len(rays))
     # cumulative max of F over samples with d below a threshold
     cummax = np.maximum.accumulate(F)
+    # first sample with cummax + M > 0, NaN included (searchsorted orders NaN last)
+    first_fail = np.searchsorted(cummax, -M, side="right")
+    upper = dvals[first_fail] if first_fail < len(dvals) else np.inf
     lattice = np.arange(width, grid_step * (1 - 1e-12), -grid_step)
-    for delta in lattice:
-        inside = np.searchsorted(dvals, delta, side="left")
-        if inside == 0:
-            continue
-        margin = float(cummax[inside - 1] + M)
-        if margin <= 0.0:
-            step = max(1, inside // 24)
-            table = [(float(dvals[i]), float(F[i])) for i in range(0, inside, step)]
-            theo = None
-            if theoretical is not None:
-                theo = float(theoretical(ds[ds < delta]).max() + M)
-            return BarrierCertificate(
-                spec=BarrierSpec(
-                    family="lyapunov" if isinstance(profile, LyapunovProfile) else "barrier",
-                    param=profile.lam if isinstance(profile, LyapunovProfile) else profile.rho,
-                    M=M,
-                ),
-                delta=float(delta),
-                margin=margin,
-                witness_table=table,
-                theoretical_margin=theo,
-            )
-    raise NumericalError(
-        f"no admissible delta found down to {grid_step}; the profile inequality "
-        f"F <= -{M} fails on every lattice collar (assumption violation or "
-        f"sampling too coarse)"
+    # first (largest) lattice point <= upper; -lattice ascends
+    k = int(np.searchsorted(-lattice, -upper, side="left"))
+    if k == len(lattice) or lattice[k] <= dvals[0]:
+        raise NumericalError(
+            f"no admissible delta found down to {grid_step}; the profile inequality "
+            f"F <= -{M} fails on every lattice collar (assumption violation or "
+            f"sampling too coarse)"
+        )
+    delta = lattice[k]
+    inside = np.searchsorted(dvals, delta, side="left")
+    margin = float(cummax[inside - 1] + M)
+    step = max(1, inside // 24)
+    table = [(float(dvals[i]), float(F[i])) for i in range(0, inside, step)]
+    theo = None
+    if theoretical is not None:
+        theo = float(theoretical(ds[ds < delta]).max() + M)
+    return BarrierCertificate(
+        spec=BarrierSpec(
+            family="lyapunov" if isinstance(profile, LyapunovProfile) else "barrier",
+            param=profile.lam if isinstance(profile, LyapunovProfile) else profile.rho,
+            M=M,
+        ),
+        delta=float(delta),
+        margin=margin,
+        witness_table=table,
+        theoretical_margin=theo,
     )
+
+
+def _check_scan_inputs(problem: ControlProblem, M: float, grid_step: float) -> None:
+    """Refuse a non-finite ``M`` and a lattice step outside (0, collar width]."""
+    if not np.isfinite(M):
+        raise ConfigError(f"M must be finite, got {M}")
+    width = geo.collar_width(problem.domain)
+    if not 0 < grid_step <= width:
+        raise ConfigError(
+            f"grid_step must be finite and lie in (0, {width}], the collar width; got {grid_step}"
+        )
 
 
 def find_lyapunov_delta(
@@ -188,6 +209,7 @@ def find_lyapunov_delta(
         raise ConfigError("lambda must be positive")
     if M < 0:
         raise ConfigError("M must be nonnegative")
+    _check_scan_inputs(problem, M, grid_step)
     return _scan_delta(problem, LyapunovProfile(lam), M, grid_step)
 
 
@@ -207,6 +229,7 @@ def find_barrier_delta(
     """
     if M <= 0:
         raise ConfigError("M must be positive")
+    _check_scan_inputs(problem, M, grid_step)
     cert = certificate or degeneracy_certificate(problem)
     if not 0 < rho < 1 - cert.gamma:
         raise ConfigError(

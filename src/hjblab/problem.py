@@ -391,8 +391,12 @@ def validate_assumptions(
 
     The report is monotone in ``tol``: a pass at some tolerance is a pass
     at any larger one.  Each control's coefficients are evaluated once,
-    over all sample points together.
+    over all sample points together.  A ``tol`` that is negative or not
+    finite raises :class:`ConfigError`: an infinite one would pass every
+    check vacuously.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tol must be finite and nonnegative, got {tol}")
     plan = plan or SamplingPlan()
     reg = problem.reg
     dom = problem.domain
@@ -418,7 +422,7 @@ def validate_assumptions(
 
     # (i) Hoelder ratios for b, l (exponent eta) and sigma (exponent beta)
     rng = np.random.default_rng(plan.seed)
-    drawn = np.array([rng.integers(0, len(all_pts), size=2) for _ in range(plan.pairs)]).reshape(-1, 2)
+    drawn = rng.integers(0, len(all_pts), size=(plan.pairs, 2))
     drawn = drawn[drawn[:, 0] != drawn[:, 1]]
     consecutive = np.arange(len(all_pts) - 1)
     pi = np.concatenate([consecutive, drawn[:, 0]])

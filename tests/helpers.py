@@ -51,6 +51,13 @@ def sigma_one_config() -> dict:
     }
 
 
+def overflowing_config() -> dict:
+    """A degenerate problem with cost 1e308: u grows like t * 1e308 and overflows before t = 2."""
+    cfg = sigma_one_config()
+    cfg["controls"][0].update(sigma=[["x1*(1-x1)"]], l="1e308")
+    return cfg
+
+
 def flat_config() -> dict:
     """No drift and no diffusion: no node is ever reached from another."""
     return {

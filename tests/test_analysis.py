@@ -46,6 +46,8 @@ def test_envelope_preconditions():
         hj.boundary_envelope_check(g, chi, 0.4, 0.3)  # delta beyond the collar
     with pytest.raises(ConfigError):
         hj.boundary_envelope_check(g, chi, 0.4, 0.1, require_certified=True, barrier_M=50.0)
+    with pytest.raises(ConfigError, match="M must be finite"):
+        hj.boundary_envelope_check(g, chi, 0.4, 0.1, barrier_M=np.nan)
     traj = hj.evolve(g, np.zeros(g.n), 0.5, mode="implicit", dt=0.05, snapshot_every=0.1)
     with pytest.raises(ConfigError):
         hj.boundary_envelope_check(g, traj.final(), 0.4, 0.1, history=traj, t=0.5)

@@ -3,6 +3,8 @@ import pytest
 
 import helpers
 import hjblab as hj
+from hjblab import barriers
+from hjblab import geometry as geo
 from hjblab.barriers import BarrierProfile, CallableProfile, LyapunovProfile, eval_F_radial
 from hjblab.errors import ConfigError, NumericalError
 
@@ -151,3 +153,92 @@ def test_block_evaluation_matches_pointwise():
             block = eval_F_radial(p, prof, pts)
             assert block.shape == (40,)
             assert np.array_equal(block, [eval_F_radial(p, prof, x) for x in pts])
+
+
+def _linear_scan(F, ds, n_rays, width, grid_step, M, theoretical):
+    """The lattice walk that _scan_delta replaced: from the widest collar
+    down, the first delta whose samples below it all have F + M <= 0."""
+    dvals = np.repeat(ds, n_rays)
+    cummax = np.maximum.accumulate(F)
+    for delta in np.arange(width, grid_step * (1 - 1e-12), -grid_step):
+        inside = np.searchsorted(dvals, delta, side="left")
+        if inside == 0:
+            continue
+        margin = float(cummax[inside - 1] + M)
+        if margin <= 0.0:
+            step = max(1, inside // 24)
+            table = [(float(dvals[i]), float(F[i])) for i in range(0, inside, step)]
+            return float(delta), margin, table, float(theoretical(ds[ds < delta]).max() + M)
+    return None
+
+
+def _scan_case(rng, width):
+    """A random scan: sample distances, ray count, F per sample, step and M."""
+    grid_step = width / rng.integers(1, 60) if rng.random() < 0.7 else rng.uniform(1e-3, width)
+    lattice = np.arange(width, grid_step * (1 - 1e-12), -grid_step)
+    m = int(rng.integers(1, 40))
+    # distances: random ones beside lattice points (a delta on a sample), with repeats
+    pool = np.concatenate([rng.uniform(0.0, 1.1 * width, m), rng.choice(lattice, m)])
+    ds = np.sort(rng.choice(pool, m))
+    n_rays = int(rng.integers(1, 4))
+    # F on a quarter grid, so that F + M is exactly 0 at times
+    F = rng.integers(-12, 4, m * n_rays) * 0.25
+    if rng.random() < 0.5:
+        F = np.sort(F)  # growing with d, as the profiles' F does
+    if rng.random() < 0.2:
+        F[rng.integers(F.size)] = np.nan
+    M = rng.integers(0, 12) * 0.25 if rng.random() < 0.8 else rng.uniform(0.0, 3.0)
+    return ds, n_rays, F, grid_step, M
+
+
+def test_binary_search_delta_equals_the_linear_scan(monkeypatch):
+    width = geo.collar_width(SMOOTH.domain)
+
+    def theoretical(d):
+        return np.cos(9 * d) - d
+
+    rng = np.random.default_rng(2024)
+    seen = {"margin 0": 0, "delta on a sample": 0, "nan": 0, "every delta": 0, "no delta": 0}
+    for _ in range(2000):
+        ds, n_rays, F, grid_step, M = _scan_case(rng, width)
+        rays = np.broadcast_to(np.arange(n_rays)[:, None, None], (n_rays, len(ds), 1))
+        columns = F.reshape(len(ds), n_rays)
+        monkeypatch.setattr(barriers.geo, "collar_ladder", lambda *args: (rays, ds))
+        monkeypatch.setattr(barriers, "eval_F_radial", lambda p, g, ray: columns[:, int(ray[0, 0])])
+        expected = _linear_scan(F, ds, n_rays, width, grid_step, M, theoretical)
+        if expected is None:
+            with pytest.raises(NumericalError, match="no admissible delta"):
+                barriers._scan_delta(SMOOTH, LyapunovProfile(1.0), M, grid_step, theoretical)
+            seen["no delta"] += 1
+            continue
+        cert = barriers._scan_delta(SMOOTH, LyapunovProfile(1.0), M, grid_step, theoretical)
+        got = (cert.delta, cert.margin, cert.witness_table, cert.theoretical_margin)
+        assert got == expected
+        seen["margin 0"] += cert.margin == 0.0
+        seen["delta on a sample"] += cert.delta in ds
+        seen["nan"] += bool(np.isnan(F).any())
+        seen["every delta"] += cert.delta == width
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("grid_step", [0.0, -0.01, np.nan, np.inf, 5.0])
+def test_certificates_refuse_a_bad_grid_step(grid_step):
+    with pytest.raises(ConfigError, match="grid_step"):
+        hj.find_lyapunov_delta(SMOOTH, 1.0, 10.0, grid_step)
+    with pytest.raises(ConfigError, match="grid_step"):
+        hj.find_barrier_delta(SMOOTH, 0.5, 1.0, grid_step)
+
+
+def test_certificates_refuse_a_non_finite_M():
+    for M in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="M must be finite"):
+            hj.find_lyapunov_delta(SMOOTH, 1.0, M)
+        with pytest.raises(ConfigError, match="M must be finite"):
+            hj.find_barrier_delta(SMOOTH, 0.5, M)
+
+
+def test_grid_step_of_the_whole_collar_is_one_lattice_point():
+    width = geo.collar_width(SMOOTH.domain)
+    assert hj.find_lyapunov_delta(SMOOTH, 1.0, 0.0, grid_step=width).delta == width
+    with pytest.raises(NumericalError):
+        hj.find_lyapunov_delta(SMOOTH, 1.0, 10.0, grid_step=width)

@@ -246,13 +246,25 @@ def test_solvers_refuse_a_grid_that_needs_boundary_data():
 
 
 def test_overflowing_implicit_step_is_a_numerical_failure():
-    cfg = helpers.sigma_one_config()
-    cfg["controls"][0].update(sigma=[["x1*(1-x1)"]], l="1e308")
-    g = hj.build_grid(hj.assemble_problem(cfg), 0.01)
+    g = hj.build_grid(hj.assemble_problem(helpers.overflowing_config()), 0.01)
     states = hj.march(g, np.zeros(g.n), 30.0, mode="implicit", dt=10.0, snapshot_every=10.0)
     assert next(states).t == 0.0
     with pytest.raises(NumericalError, match="non-finite value at node 0"):
         next(states)
+
+
+def test_overflowing_explicit_step_is_a_numerical_failure():
+    g = hj.build_grid(hj.assemble_problem(helpers.overflowing_config()), 0.1)
+    with pytest.raises(NumericalError, match="non-finite value at node 0"):
+        for _ in hj.march(g, np.zeros(g.n), 30.0, mode="explicit", snapshot_every=10.0):
+            pass
+
+
+def test_overflowing_howard_solve_is_a_numerical_failure():
+    # howard_solve also runs outside march (the longtime ergodic method)
+    g = hj.build_grid(hj.assemble_problem(helpers.overflowing_config()), 0.01)
+    with pytest.raises(NumericalError, match="non-finite value at node 0"):
+        howard_solve(g, np.zeros(g.n), 10.0)
 
 
 def test_evolve_metadata():

@@ -126,6 +126,30 @@ def test_certify_failure_exits_one(tmp_path):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("family", ["lyapunov", "barrier"])
+@pytest.mark.parametrize("knob, value", [
+    ("--grid-step", "0"), ("--grid-step", "nan"), ("--grid-step", "-0.01"), ("--grid-step", "5"),
+    ("--M", "nan"),
+])
+def test_certify_refuses_bad_inputs(tmp_path, family, knob, value):
+    out = tmp_path / "never"
+    res = run_cli("certify", preset_path("smoothA"), "--family", family, "--param", "0.5",
+                  "--M", "1", knob, value, "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert ("grid_step" if knob == "--grid-step" else "M must be finite") in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-0.01"])
+def test_validate_refuses_a_bad_tolerance(tmp_path, tol):
+    out = tmp_path / "never"
+    res = run_cli("validate", preset_path("smoothA"), "--tol", tol, "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr == f"error: tol must be finite and nonnegative, got {float(tol)}\n"
+    assert not out.exists()
+
+
 def test_certify_rho_out_of_range_exits_two(tmp_path):
     res = run_cli("certify", preset_path("degenerateB"), "--family", "barrier",
                   "--param", "0.6", "--M", "1.0", "--out", str(tmp_path / "c"))
@@ -240,17 +264,26 @@ def test_solve_streams_the_snapshots_of_evolve(tmp_path, name, mode, dt, snap, T
 
 
 def test_solve_overflowing_implicit_step_exits_one(tmp_path):
-    cfg = helpers.sigma_one_config()
-    cfg["controls"][0].update(sigma=[["x1*(1-x1)"]], l="1e308")
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(helpers.overflowing_config()))
     out = tmp_path / "never"
     res = run_cli("solve", str(path), "--mode", "implicit", "--dt", "10", "--snap", "10",
                   "--T", "30", "--out", str(out))
     assert res.returncode == 1
-    assert "numerical failure: non-finite value at node" in res.stderr
-    assert "Traceback" not in res.stderr
+    # the one error line, with no numpy overflow warning before it
+    assert res.stderr == "numerical failure: non-finite value at node 0 (x=[0.01])\n"
     # the initial snapshot was streamed before the failure and is removed again
+    assert not out.exists()
+
+
+def test_solve_overflowing_explicit_step_exits_one(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(helpers.overflowing_config()))
+    out = tmp_path / "never"
+    res = run_cli("solve", str(path), "--h", "0.1", "--T", "30", "--snap", "10", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith("numerical failure: non-finite value at node 0 (x=[0.1]), t=")
+    assert res.stderr.count("\n") == 1
     assert not out.exists()
 
 

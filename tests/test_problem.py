@@ -3,8 +3,9 @@ import pytest
 
 import helpers
 from hjblab import assemble_problem, validate_assumptions
+from hjblab import geometry as geo
 from hjblab.errors import ConfigError, NumericalError
-from hjblab.problem import SamplingPlan, degeneracy_certificate
+from hjblab.problem import SamplingPlan, _interior_points, degeneracy_certificate
 
 
 def test_preset_constant_cost():
@@ -154,3 +155,64 @@ def test_validate_is_deterministic():
     r1 = validate_assumptions(helpers.problem("degenerateB"))
     r2 = validate_assumptions(helpers.problem("degenerateB"))
     assert r1.to_dict() == r2.to_dict()
+
+
+def _loop_pairs(seed: int, count: int, pairs: int) -> np.ndarray:
+    """The Hoelder pairs as validate_assumptions once drew them: one call per pair."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.integers(0, count, size=2) for _ in range(pairs)]).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("count", [384, 2624, 2**31 + 1])
+def test_one_shot_pair_draw_is_the_per_pair_stream(count):
+    # 384 and 2624 are the default plan's sample counts on an interval and a
+    # disk; at 2^31 + 1 numpy's bounded sampler rejects about half its draws
+    plan = SamplingPlan()
+    one_shot = np.random.default_rng(plan.seed).integers(0, count, size=(plan.pairs, 2))
+    assert np.array_equal(one_shot, _loop_pairs(plan.seed, count, plan.pairs))
+
+
+@pytest.mark.parametrize("domain, l, count", [
+    ({"kind": "interval", "x_lo": 0.0, "x_hi": 1.0}, "x1", 384),
+    ({"kind": "disk", "center": [0.0, 0.0], "radius": 1.0}, "x1+x2^2", 2624),
+])
+def test_hoelder_ratio_uses_the_per_pair_draws(domain, l, count):
+    # with eta near 0 the ratio |l_i - l_j| / |x_i - x_j|^eta is largest on far
+    # apart random pairs, so its maximum depends on exactly which pairs are drawn
+    dim = 1 if domain["kind"] == "interval" else 2
+    b = ["0"] * dim
+    sigma = [["0"] * dim for _ in range(dim)]
+    problem = assemble_problem({
+        "domain": domain,
+        "controls": [{"b": b, "sigma": sigma, "l": l}],
+        "regularity": {"B": 1.0, "eta": 0.01, "beta": 1.0},
+    })
+    plan = SamplingPlan()
+    report = validate_assumptions(problem, plan)
+    check = next(c for c in report.checks if c.name == "hoelder_l")
+
+    rays, _ = geo.collar_ladder(
+        problem.domain, plan.d_min_factor * geo.diameter(problem.domain),
+        0.8 * geo.collar_width(problem.domain) * (1 - 1e-9), plan.collar_per_side, plan.directions,
+    )
+    pts = np.concatenate([_interior_points(problem, plan), rays.reshape(-1, dim)])
+    assert len(pts) == count
+    cost = problem.cost(pts, 0)
+
+    def max_ratio(seed: int) -> float:
+        drawn = _loop_pairs(seed, count, plan.pairs)
+        pi = np.concatenate([np.arange(count - 1), drawn[:, 0]])
+        pj = np.concatenate([np.arange(1, count), drawn[:, 1]])
+        gap = np.linalg.norm(pts[pi] - pts[pj], axis=1)
+        keep = gap != 0.0
+        return float((np.abs(cost[pi] - cost[pj])[keep] / gap[keep] ** 0.01).max())
+
+    assert check.detail["max_ratio"] == pytest.approx(max_ratio(plan.seed), rel=1e-13)
+    # the maximum tells the draws apart: other pairs give another one
+    assert check.detail["max_ratio"] != pytest.approx(max_ratio(plan.seed + 1), rel=1e-9)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -0.01, -np.inf])
+def test_validate_refuses_a_bad_tolerance(tol):
+    with pytest.raises(ConfigError, match="tol"):
+        validate_assumptions(helpers.problem("smoothA"), tol=tol)
