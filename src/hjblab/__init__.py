@@ -28,7 +28,7 @@ from .barriers import (
     find_barrier_delta,
     find_lyapunov_delta,
 )
-from .cauchy import CauchyState, Trajectory, evolve, march, step_explicit, step_implicit_policy
+from .cauchy import CauchyState, march, step_explicit, step_implicit_policy
 from .ergodic import (
     ErgodicPair,
     ErgodicSolverParams,
@@ -68,7 +68,6 @@ __all__ = [
     "NumericalError",
     "RegularityConstants",
     "SamplingPlan",
-    "Trajectory",
     "ValidationReport",
     "apply_H",
     "assemble_problem",
@@ -78,7 +77,6 @@ __all__ = [
     "convergence_diagnostics",
     "distance",
     "eval_F_radial",
-    "evolve",
     "find_barrier_delta",
     "find_lyapunov_delta",
     "holder_fit",

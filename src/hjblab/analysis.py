@@ -12,17 +12,23 @@
 * an independent ergodic constant for single-control problems from the
   stationary density: solve the zero-flux conservative form of
   (a mu)'' - (b mu)' = 0 on a finer grid and return -integral of l dmu.
+
+The evolutive envelope and the long-time brackets take the states of a
+:func:`~hjblab.cauchy.march` and reduce each one as it is drawn, to the
+running rim extrema and to (t, min w, max w): no evolution is held in
+memory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as geo
 from .barriers import find_barrier_delta
-from .cauchy import Trajectory, march
+from .cauchy import CauchyState, march
 from .ergodic import ErgodicPair
 from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField
@@ -65,77 +71,65 @@ class EnvelopeReport:
 
 def boundary_envelope_check(
     grid: Grid,
-    field_values: GridField,
+    fields: Iterable[GridField],
     rho: float,
     delta: float,
-    history: Trajectory | None = None,
+    barrier_M: float,
     t: float | None = None,
     certificate: DegeneracyCertificate | None = None,
-    barrier_M: float | None = None,
     require_certified: bool = False,
 ) -> EnvelopeReport:
-    """Check the boundary envelope of a field inside the collar of width delta.
+    """Check the boundary envelope of the last of ``fields`` inside the
+    collar of width delta.
 
-    For the stationary check (``history`` is None) the rim extrema are
-    taken from ``field_values`` itself; for the evolutive check they run
-    over all recorded snapshots up to time ``t`` (which must be >= 1).
-    The rim consists of the nodes within h/2 of d = delta.  Violations
+    The rim consists of the nodes within h/2 of d = delta, and its
+    extrema run over every field as it is drawn, so an evolution streams
+    through: the stationary check passes ``[chi]``, the evolutive check
+    at time ``t`` (which must be >= 1) the states of a
+    :func:`~hjblab.cauchy.march` to ``t``.  Violations of the last field
     are max(0, bound - value) and max(0, value - bound) over the collar
-    nodes.  The certified barrier width for the matching margin M is
+    nodes.  The certified barrier width for the margin ``barrier_M`` is
     computed and reported; with ``require_certified`` it is enforced.
+    Every refusal (rho, delta, no rim nodes, t < 1, an uncertified width)
+    comes before the first field is drawn.
     """
     cert = certificate or degeneracy_certificate(grid.problem)
     if not 0 < rho < 1 - cert.gamma:
         raise ConfigError(f"rho={rho} outside the certified range (0, {1 - cert.gamma})")
     if not 0 < delta < geo.collar_width(grid.domain):
         raise ConfigError(f"delta={delta} outside the collar (0, {geo.collar_width(grid.domain)})")
-
-    field_values = np.asarray(field_values, dtype=float)
-    if field_values.shape != (grid.n,):
-        raise ConfigError("field does not match the grid")
-
     rim = np.abs(grid.d - delta) <= grid.h / 2
     if not rim.any():
         raise ConfigError(f"no rim nodes near d={delta} on this grid (h={grid.h})")
+    if t is not None and not t >= 1.0:
+        raise ConfigError("the evolutive envelope requires t >= 1")
 
-    if history is None:
-        rim_min = float(field_values[rim].min())
-        rim_max = float(field_values[rim].max())
-        checked_at: float | str = "stationary"
-        if barrier_M is None:
-            barrier_M = 1.0
-    else:
-        if t is None or t < 1.0:
-            raise ConfigError("the evolutive envelope requires t >= 1")
-        in_window = [s for ts, s in zip(history.times, history.snapshots) if ts <= t + 1e-12]
-        if not in_window:
-            raise ConfigError("trajectory holds no snapshots up to the requested time")
-        stack = np.stack(in_window)
-        rim_min = float(stack[:, rim].min())
-        rim_max = float(stack[:, rim].max())
-        checked_at = float(t)
-        if barrier_M is None:
-            barrier_M = 2.0 * history.metadata.get("u0_sup", 0.0) + grid.l_sup()
-
-    certified_delta = None
-    certified = None
     try:
-        bc = find_barrier_delta(grid.problem, rho, barrier_M, certificate=cert)
-        certified_delta = bc.delta
-        certified = delta <= bc.delta
+        certified_delta = find_barrier_delta(grid.problem, rho, barrier_M, certificate=cert).delta
     except NumericalError:
-        certified = False
+        certified_delta = None
+    certified = certified_delta is not None and delta <= certified_delta
     if require_certified and not certified:
         raise ConfigError(
             f"delta={delta} is not below the certified barrier width "
             f"({certified_delta}) for margin M={barrier_M}"
         )
 
+    rim_min, rim_max, last = np.inf, -np.inf, None
+    for values in fields:
+        last = np.asarray(values, dtype=float)
+        if last.shape != (grid.n,):
+            raise ConfigError("field does not match the grid")
+        rim_min = np.minimum(rim_min, last[rim].min())
+        rim_max = np.maximum(rim_max, last[rim].max())
+    if last is None:
+        raise ConfigError("no field to check")
+
     collar = grid.d < delta
     dpow = grid.d[collar] ** rho
     lower = rim_min - delta**rho + dpow
     upper = rim_max + delta**rho - dpow
-    vals = field_values[collar]
+    vals = last[collar]
     lower_violation = float(np.maximum(lower - vals, 0.0).max(initial=0.0))
     upper_violation = float(np.maximum(vals - upper, 0.0).max(initial=0.0))
     return EnvelopeReport(
@@ -143,9 +137,9 @@ def boundary_envelope_check(
         delta=delta,
         lower_violation=lower_violation,
         upper_violation=upper_violation,
-        checked_at_t=checked_at,
-        rim_min=rim_min,
-        rim_max=rim_max,
+        checked_at_t="stationary" if t is None else float(t),
+        rim_min=float(rim_min),
+        rim_max=float(rim_max),
         n_nodes=int(collar.sum()),
         certified_delta=certified_delta,
         certified=certified,
@@ -285,48 +279,59 @@ class ConvergenceReport:
         }
 
 
-def _gap_curves(traj: Trajectory, pair: ErgodicPair):
-    lows, highs = [], []
-    for t, snap in zip(traj.times, traj.snapshots):
-        w = snap + pair.c * t - pair.chi
-        lows.append(float(w.min()))
-        highs.append(float(w.max()))
-    return np.array(lows), np.array(highs)
+def _brackets(grid: Grid, states: Iterable[CauchyState], pair: ErgodicPair):
+    """(state, min w, max w) for each state as it is drawn, with w = u + c t - chi."""
+    if len(pair.chi) != grid.n:
+        raise ConfigError("pair and grid do not match")
+    for state in states:
+        if state.u.shape != (grid.n,):
+            raise ConfigError("state and grid do not match")
+        w = state.u + pair.c * state.t - pair.chi
+        yield state, float(w.min()), float(w.max())
 
 
-def convergence_diagnostics(traj: Trajectory, pair: ErgodicPair, grid: Grid) -> ConvergenceReport:
-    """Monotone brackets and limit shift for w = u + c t - chi.
-
-    Asserts that min w is nondecreasing and max w nonincreasing between
-    recorded snapshots (up to the per-step tolerance), estimates the
-    shift K as minus the final midpoint, and reports the uniform error
-    sup over nodes of |u + c t - chi + K| per snapshot.
-    """
-    if len(pair.chi) != grid.n or len(traj.snapshots[0]) != grid.n:
-        raise ConfigError("trajectory, pair and grid do not match")
-    lows, highs = _gap_curves(traj, pair)
-    dt = traj.metadata.get("dt", 1.0)
-    for j in range(1, len(traj.times)):
-        steps = max(1, int(round((traj.times[j] - traj.times[j - 1]) / dt)))
+def _bracket_report(grid: Grid, pair: ErgodicPair, dt: float, curves: list) -> ConvergenceReport:
+    """The report on the (t, min w, max w) of successive states."""
+    if not curves:
+        raise ConfigError("no state to diagnose")
+    times, lows, highs = np.array(curves).T
+    for j in range(1, len(times)):
+        steps = max(1, int(round((times[j] - times[j - 1]) / dt)))
         tol = MONOTONE_TOL_PER_STEP * steps
         if lows[j] < lows[j - 1] - tol:
             raise NumericalError(
-                f"lower bracket decreased at t={traj.times[j]}: {lows[j]} < {lows[j-1]}"
+                f"lower bracket decreased at t={times[j]}: {lows[j]} < {lows[j-1]}"
             )
         if highs[j] > highs[j - 1] + tol:
             raise NumericalError(
-                f"upper bracket increased at t={traj.times[j]}: {highs[j]} > {highs[j-1]}"
+                f"upper bracket increased at t={times[j]}: {highs[j]} > {highs[j-1]}"
             )
     K = -0.5 * (lows[-1] + highs[-1])
     uniform = np.maximum(np.abs(lows + K), np.abs(highs + K))
     return ConvergenceReport(
-        times=list(map(float, traj.times)),
+        times=times.tolist(),
         inf_gap=lows.tolist(),
         sup_gap=highs.tolist(),
         K=float(K),
         uniform_error=uniform.tolist(),
-        metadata={"problem": traj.metadata.get("problem"), "c": pair.c, "dt": dt},
+        metadata={"problem": grid.problem.fingerprint(), "c": pair.c, "dt": dt},
     )
+
+
+def convergence_diagnostics(
+    grid: Grid, states: Iterable[CauchyState], pair: ErgodicPair, dt: float
+) -> ConvergenceReport:
+    """Monotone brackets and limit shift for w = u + c t - chi.
+
+    Each state is reduced to (t, min w, max w) as it is drawn, so a
+    :func:`~hjblab.cauchy.march` streams through and no field is kept.
+    Asserts that min w is nondecreasing and max w nonincreasing between
+    states (up to the per-step tolerance, for steps of ``dt``), estimates
+    the shift K as minus the final midpoint, and reports the uniform
+    error sup over nodes of |u + c t - chi + K| per state.
+    """
+    curves = [(state.t, low, high) for state, low, high in _brackets(grid, states, pair)]
+    return _bracket_report(grid, pair, dt, curves)
 
 
 def run_until_flat(
@@ -336,18 +341,24 @@ def run_until_flat(
     tol: float = 1e-3,
     dt: float = 0.02,
     t_max: float = 500.0,
-) -> tuple[Trajectory, ConvergenceReport]:
-    """Evolve implicitly until the bracket gap of w = u + c t - chi is
-    below 2 tol (so the uniform error at the stop is below tol), recording
-    every step: a :func:`~hjblab.cauchy.march` with one snapshot per step,
-    at the times k dt.  Raises if the gap has not closed by ``t_max``."""
-    traj = Trajectory()
-    for state in march(grid, u0, t_max, "implicit", dt, snapshot_every=dt, metadata=traj.metadata):
-        traj.times.append(state.t)
-        traj.snapshots.append(state.u)
-        w = state.u + pair.c * state.t - pair.chi
-        if state.step_count and float(w.max() - w.min()) < 2 * tol * 0.95:
-            return traj, convergence_diagnostics(traj, pair, grid)
+) -> tuple[ConvergenceReport, CauchyState]:
+    """March implicitly until the bracket gap of w = u + c t - chi is
+    below 2 tol (so the uniform error at the stop is below tol).
+
+    A :func:`~hjblab.cauchy.march` with one state per step, at the times
+    k dt; each state is reduced to (t, min w, max w) as it is drawn, and
+    no field is kept.  Returns the :func:`convergence_diagnostics` report
+    on those states and the final state.  ``tol`` must be positive and
+    finite; raises if the gap has not closed by ``t_max``.
+    """
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    curves = []
+    states = march(grid, u0, t_max, "implicit", dt, snapshot_every=dt)
+    for state, low, high in _brackets(grid, states, pair):
+        curves.append((state.t, low, high))
+        if state.step_count and high - low < 2 * tol * 0.95:
+            return _bracket_report(grid, pair, dt, curves), state
     raise NumericalError(f"bracket gap did not close below {2 * tol} by t={t_max}")
 
 

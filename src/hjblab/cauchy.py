@@ -11,14 +11,15 @@ grid whose stencil would need boundary data is refused
   solve for the frozen controls); each frozen-control matrix is an
   M-matrix, so the step is monotone for any step size.
 
-:func:`march` is the one stepping loop: a generator that yields the
-initial state and then the state at each snapshot time.  It fixes the
-sub-step once for every full snapshot window (only a shorter final window
-gets its own), checks the CFL bound before the first step, every state
-for finiteness and the a-priori bound at snapshot times, and counts the
-Howard sweeps and factorizations of the run.  :func:`evolve` collects it
-into a :class:`Trajectory`; the ``solve`` command writes each snapshot
-as it is yielded.
+:func:`march` is the one stepping loop and the only evolution API: a
+generator that yields the initial state and then the state at each
+snapshot time.  It refuses non-finite times, fixes the sub-step once for
+every full snapshot window (only a shorter final window gets its own),
+checks the CFL bound before the first step, every state for finiteness
+and the a-priori bound at snapshot times, and counts the Howard sweeps
+and factorizations of the run.  Each consumer reduces a state as it is
+drawn (``solve`` writes it, ``converge`` and the evolutive ``envelope``
+keep a few floats of it), so no evolution is held in memory.
 
 :func:`frozen_matrix` builds the frozen-control matrix, and
 :func:`frozen_factor` is the only way any solver solves it: the implicit
@@ -43,7 +44,7 @@ Every evolution enforces the a-priori bound
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +52,8 @@ from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField, apply_H, cfl_dt, control_values, require_no_boundary_data
 
 BOUND_RTOL = 1e-9
+MAX_HOWARD_SWEEPS = 100
+HOWARD_RESIDUAL_TOL = 1e-12  # relative to the data size
 
 
 @dataclass
@@ -70,16 +73,6 @@ class CauchyState:
             raise NumericalError(
                 f"a-priori bound violated at t={self.t}: sup|u|={actual} > {bound}"
             )
-
-
-@dataclass
-class Trajectory:
-    times: list[float] = field(default_factory=list)
-    snapshots: list[GridField] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def final(self) -> GridField:
-        return self.snapshots[-1]
 
 
 def initial_state(grid: Grid, u0: GridField) -> CauchyState:
@@ -202,21 +195,16 @@ def frozen_factor(
     return factor
 
 
-def howard_solve(
-    grid: Grid,
-    u_old: GridField,
-    dt: float,
-    max_sweeps: int = 100,
-    residual_tol: float = 1e-12,
-) -> tuple[GridField, int, float]:
+def howard_solve(grid: Grid, u_old: GridField, dt: float) -> tuple[GridField, int, float]:
     """Solve the backward Euler step u + dt H[u] = u_old by policy iteration.
 
     Alternates (a) the per-node maximizing control for the current
     iterate with (b) a solve with the :func:`frozen_factor` of the frozen
     controls, until the policy is stationary or the nonlinear residual
-    ``|u + dt H[u] - u_old|`` drops below ``residual_tol`` (scaled by
-    the data size).  A stationary policy means the last solve already
-    satisfies the Bellman step up to linear-solve roundoff.  Returns
+    ``|u + dt H[u] - u_old|`` drops below ``HOWARD_RESIDUAL_TOL`` (scaled
+    by the data size), for at most ``MAX_HOWARD_SWEEPS`` sweeps.  A
+    stationary policy means the last solve already satisfies the Bellman
+    step up to linear-solve roundoff.  Returns
     (solution, sweeps used, final residual).  A grid that needs boundary
     data and a solve that is not finite raise :class:`NumericalError`.
     """
@@ -226,7 +214,7 @@ def howard_solve(
     scale = max(1.0, float(np.abs(u_old).max()), grid.l_sup() * dt)
     policy = np.argmax(control_values(grid, u_old), axis=0)
     last_residual = np.inf
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_HOWARD_SWEEPS + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to _check_finite
             rhs = u_old + dt * grid.l[policy, np.arange(grid.n)]
             u = frozen_factor(grid, policy, scale=dt, shift=1.0).solve(rhs)
@@ -234,25 +222,19 @@ def howard_solve(
         vals = control_values(grid, u)
         new_policy = np.argmax(vals, axis=0)
         last_residual = float(np.abs(u + dt * np.max(vals, axis=0) - u_old).max())
-        if np.array_equal(new_policy, policy) or last_residual <= residual_tol * scale:
+        if np.array_equal(new_policy, policy) or last_residual <= HOWARD_RESIDUAL_TOL * scale:
             return u, sweep, last_residual
         policy = new_policy
     raise NumericalError(
-        f"policy iteration did not settle in {max_sweeps} sweeps "
+        f"policy iteration did not settle in {MAX_HOWARD_SWEEPS} sweeps "
         f"(residual {last_residual:.3e})"
     )
 
 
-def step_implicit_policy(
-    grid: Grid,
-    state: CauchyState,
-    dt: float,
-    max_sweeps: int = 100,
-    residual_tol: float = 1e-12,
-) -> CauchyState:
+def step_implicit_policy(grid: Grid, state: CauchyState, dt: float) -> CauchyState:
     """One backward Euler step by Howard policy iteration; monotone for
     any dt because each frozen-control matrix is an M-matrix."""
-    u, sweeps, _ = howard_solve(grid, state.u, dt, max_sweeps, residual_tol)
+    u, sweeps, _ = howard_solve(grid, state.u, dt)
     return CauchyState(state.t + dt, u, state.u0_sup, state.l_sup, state.step_count + 1, sweeps)
 
 
@@ -290,11 +272,13 @@ def march(
     fixed dt stays exactly fixed and an implicit run reuses one
     factorization; only a final window shorter than ``snapshot_every``
     gets its own sub-step.  The recorded time of a snapshot is its target
-    time, not the sum of the sub-steps.  An explicit sub-step above the
-    CFL bound is refused before the first step; a non-finite value aborts
-    with the offending node, and the a-priori bound is checked at every
-    snapshot.  A grid that needs boundary data is refused.  Each step
-    returns new arrays, so a yielded ``state.u`` may be kept as it is.
+    time, not the sum of the sub-steps.  ``T``, ``dt`` and
+    ``snapshot_every`` must be positive and finite.  An explicit sub-step
+    above the CFL bound is refused before the first step; a non-finite
+    value aborts with the offending node, and the a-priori bound is
+    checked at every snapshot.  A grid that needs boundary data is
+    refused.  Each step returns new arrays, so a yielded ``state.u`` may
+    be kept as it is.
 
     If ``metadata`` is given, march records the run in it: the problem
     fingerprint, ``h``, ``dt`` (the requested or default step), ``mode``,
@@ -305,18 +289,18 @@ def march(
     policy on a fresh grid).  The counters are current at each yield.
     Nothing is checked or recorded until the first state is requested.
     """
-    if not T > 0:
-        raise ConfigError("T must be positive")
+    if not 0 < T < np.inf:
+        raise ConfigError(f"T must be positive and finite, got {T}")
     if mode not in ("explicit", "implicit"):
         raise ConfigError(f"unknown stepping mode {mode!r}")
     if mode == "implicit" and dt is None:
         raise ConfigError("implicit stepping needs an explicit dt")
-    if dt is not None and not dt > 0:
-        raise ConfigError("dt must be positive")
+    if dt is not None and not 0 < dt < np.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
     if snapshot_every is None:
         snapshot_every = T
-    if not snapshot_every > 0:
-        raise ConfigError("the snapshot cadence must be positive")
+    if not 0 < snapshot_every < np.inf:
+        raise ConfigError(f"the snapshot cadence must be positive and finite, got {snapshot_every}")
     require_no_boundary_data(grid)
     implicit = mode == "implicit"
     limit = np.inf if implicit else cfl_dt(grid)
@@ -364,28 +348,3 @@ def march(
         if implicit:
             record["factorizations"] = grid.factorizations - factorizations
         yield state
-
-
-def evolve(
-    grid: Grid,
-    u0: GridField,
-    T: float,
-    mode: str = "explicit",
-    dt: float | None = None,
-    snapshot_every: float | None = None,
-) -> Trajectory:
-    """Evolve from ``u0`` to time ``T`` and keep every snapshot.
-
-    A thin collector over :func:`march`, which sets the stepping rules,
-    checks and metadata: the trajectory holds each yielded time and field,
-    the initial field first, and the run's ``metadata`` (the step count
-    and, in implicit mode, ``howard_sweeps``, ``max_howard_sweeps`` and
-    ``factorizations``).  Memory grows with snapshots times nodes; a
-    caller that only writes or reduces each snapshot iterates
-    :func:`march` instead.
-    """
-    traj = Trajectory()
-    for state in march(grid, u0, T, mode, dt, snapshot_every, metadata=traj.metadata):
-        traj.times.append(state.t)
-        traj.snapshots.append(state.u)
-    return traj

@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=float, required=True)
     p.add_argument("--grid-step", type=float, default=1e-3)
 
-    p = subs.add_parser("solve", help="evolve the initial-value problem")
+    p = subs.add_parser("solve", help="solve the initial-value problem")
     _add_common(p)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--mode", choices=("explicit", "implicit"), default="explicit")
@@ -273,7 +273,7 @@ def _dispatch(args, config: dict, problem) -> int:
     if args.command == "converge":
         pair = _ergodic_pair(grid)
         u0 = _u0_field(grid, args.u0, args.seed)
-        traj, report = analysis.run_until_flat(
+        report, _ = analysis.run_until_flat(
             grid, u0, pair, tol=args.tol, dt=args.dt, t_max=args.t_max
         )
         manifest = _manifest(
@@ -294,10 +294,10 @@ def _dispatch(args, config: dict, problem) -> int:
         return 0
 
     if args.command == "holder":
+        if (args.fit_min is None) != (args.fit_max is None):
+            raise ConfigError("--fit-min and --fit-max set the fit range together")
         pair = _ergodic_pair(grid)
-        fit_range = None
-        if args.fit_min is not None and args.fit_max is not None:
-            fit_range = (args.fit_min, args.fit_max)
+        fit_range = None if args.fit_min is None else (args.fit_min, args.fit_max)
         fit = analysis.holder_fit(grid, pair.chi, side=args.side, fit_range=fit_range)
         manifest = _manifest(
             args, config,
@@ -311,21 +311,21 @@ def _dispatch(args, config: dict, problem) -> int:
 
     if args.command == "envelope":
         if args.t is None:
+            if args.dt is not None:
+                raise ConfigError("--dt is the step of the evolutive check and needs --t")
             pair = _ergodic_pair(grid)
-            report = analysis.boundary_envelope_check(
-                grid, pair.chi, args.rho, args.delta,
-                barrier_M=2 * abs(pair.c) + grid.l_sup(),
-                require_certified=args.require_certified,
-            )
+            fields, barrier_M = [pair.chi], 2 * abs(pair.c) + grid.l_sup()
         else:
             u0 = _u0_field(grid, args.u0, args.seed)
             dt = args.dt if args.dt is not None else 0.01
-            traj = cauchy.evolve(grid, u0, args.t, mode="implicit", dt=dt, snapshot_every=dt)
-            report = analysis.boundary_envelope_check(
-                grid, traj.final(), args.rho, args.delta,
-                history=traj, t=args.t,
-                require_certified=args.require_certified,
-            )
+            states = cauchy.march(grid, u0, args.t, "implicit", dt, snapshot_every=dt)
+            fields = (state.u for state in states)
+            # initial_state refuses a bad u0 before the barrier search runs
+            barrier_M = 2 * cauchy.initial_state(grid, u0).u0_sup + grid.l_sup()
+        report = analysis.boundary_envelope_check(
+            grid, fields, args.rho, args.delta, barrier_M, t=args.t,
+            require_certified=args.require_certified,
+        )
         manifest = _manifest(
             args, config,
             {"h": h, "rho": args.rho, "delta": args.delta, "t": args.t,

@@ -15,9 +15,10 @@ Three solvers:
 
 The last two take implicit steps and serve as independent cross-checks
 of the first.  The longtime solver runs :func:`hjblab.cauchy.march`
-between its sampling times.  RVI keeps its own loop: it re-anchors the
-field after every step, so its iterate is not a solution of the Cauchy
-problem, and it has no snapshot times and no a-priori bound to check.
+between its sampling times.  RVI calls :func:`hjblab.cauchy.howard_solve`
+in its own loop: it re-anchors the field after every step, so its
+iterate is not a solution of the Cauchy problem, and it has no snapshot
+times and no a-priori bound to check.
 Every frozen operator, the pinned generator and the implicit step's
 ``I + dt A``, is solved through :func:`hjblab.cauchy.frozen_factor`,
 whose one-entry cache on the grid is keyed on
@@ -31,7 +32,8 @@ stencil needs boundary data (:func:`hjblab.grid.require_no_boundary_data`).
 
 Every solver reports the residual ``sup |H[chi] - c|`` over nodes with
 d >= 10 h and raises :class:`NumericalError` unless it is below the
-tolerance (``max(tolerance, 1e-8)`` for longtime); the boundary layer,
+tolerance (``max(tolerance, 1e-8)`` for longtime), which must be positive
+and finite, so that the check cannot pass vacuously; the boundary layer,
 where the scheme loses consistency, is excluded from that norm and
 reported separately.
 """
@@ -42,11 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import CauchyState, frozen_factor, march, step_implicit_policy
+from .cauchy import CauchyState, frozen_factor, howard_solve, march
 from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField, apply_H, cfl_dt, maximizing_policy, require_no_boundary_data
 
 MAX_POLICY_ITERATIONS = 100
+LONGTIME_T1 = 2.0  # longtime first sampling time
+LONGTIME_T2 = 8.0  # longtime second sampling time
 
 
 @dataclass
@@ -54,15 +58,11 @@ class ErgodicSolverParams:
     tolerance: float = 1e-8
     max_iterations: int = 500_000
     anchor_node: int | None = None      # policy/rvi anchor node, default: deepest
-    t1: float = 2.0                     # longtime first sampling time
-    t2: float = 8.0                     # longtime second sampling time
     dt: float | None = None             # rvi/longtime step; defaults per method
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ConfigError("tolerance must be positive")
-        if not 1 <= self.t1 < self.t2:
-            raise ConfigError("need 1 <= t1 < t2")
+        if not 0 < self.tolerance < np.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass
@@ -192,10 +192,10 @@ def solve_ergodic_longtime(grid: Grid, params: ErgodicSolverParams | None = None
             pass
         return state
 
-    state = advance(np.zeros(grid.n), params.t1)
+    state = advance(np.zeros(grid.n), LONGTIME_T1)
     steps = state.step_count
-    t_prev, mean_prev = params.t1, float(state.u.mean())
-    t_hi = params.t2
+    t_prev, mean_prev = LONGTIME_T1, float(state.u.mean())
+    t_hi = LONGTIME_T2
     c_prev = None
     for _ in range(60):
         state = advance(state.u, t_hi - t_prev)
@@ -238,14 +238,12 @@ def solve_ergodic_rvi(grid: Grid, params: ErgodicSolverParams | None = None) -> 
     c_est = 0.0
     best_update = np.inf
     check_every = 20
-    state = CauchyState(t=0.0, u=v, u0_sup=0.0, l_sup=grid.l_sup())
     for it in range(1, params.max_iterations + 1):
-        raw = step_implicit_policy(grid, state, dt).u
+        raw, _, _ = howard_solve(grid, v, dt)
         c_est = -(raw[anchor] - v[anchor]) / dt
         v_new = raw - raw[anchor]
         update = float(np.abs(v_new - v).max())
         v = v_new
-        state = CauchyState(t=0.0, u=v, u0_sup=float(np.abs(v).max()), l_sup=state.l_sup)
         best_update = min(best_update, update)
         if update > 1e3 * best_update + 1e-12 and it > 100:
             raise NumericalError(

@@ -238,9 +238,6 @@ class Grid:
     def l_sup(self) -> float:
         return float(np.abs(self.l).max())
 
-    def l_min_field(self) -> np.ndarray:
-        return self.l.min(axis=0)
-
     def field_from_expr(self, source: str) -> GridField:
         tree = ex.parse(source)
         extra = ex.free_vars(tree) - ({"x1", "d"} if self.ndim == 1 else {"x1", "x2", "d"})

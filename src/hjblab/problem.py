@@ -203,9 +203,6 @@ def _preset_config(name: str, params: dict) -> dict:
     raise ConfigError(f"unknown preset {name!r}")
 
 
-PRESET_NAMES = ("constantL", "smoothA", "degenerateB", "twoControlA")
-
-
 def assemble_problem(config: dict) -> ControlProblem:
     """Build a :class:`ControlProblem` from a configuration mapping.
 

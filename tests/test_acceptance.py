@@ -70,11 +70,10 @@ def test_criterion_2_a_priori_bound():
     for name in helpers.PRESETS:
         g = helpers.grid(name, 1e-3)
         u0 = np.sin(2 * np.pi * g.x[:, 0])
-        traj = hj.evolve(g, u0, 5.0, mode="implicit", dt=0.01, snapshot_every=0.02)
         u0_sup, l_sup = np.abs(u0).max(), g.l_sup()
-        for t, snap in zip(traj.times, traj.snapshots):
-            bound = u0_sup + l_sup * t
-            excess = (np.abs(snap).max() - bound) / max(bound, 1.0)
+        for state in hj.march(g, u0, 5.0, "implicit", 0.01, 0.02):
+            bound = u0_sup + l_sup * state.t
+            excess = (np.abs(state.u).max() - bound) / max(bound, 1.0)
             worst_excess = max(worst_excess, excess)
             assert excess <= 1e-9
     elapsed = time.perf_counter() - start
@@ -178,10 +177,10 @@ def _envelope_violations(name: str, h: float) -> tuple[float, float]:
     pair = helpers.rvi_pair(name, h)
     rho, delta = ENVELOPE_PARAMS[name]
     chi_rep = hj.boundary_envelope_check(
-        g, pair.chi, rho, delta, barrier_M=2 * abs(pair.c) + g.l_sup()
+        g, [pair.chi], rho, delta, barrier_M=2 * abs(pair.c) + g.l_sup()
     )
-    traj = hj.evolve(g, np.zeros(g.n), 1.0, mode="implicit", dt=0.01, snapshot_every=0.02)
-    u_rep = hj.boundary_envelope_check(g, traj.final(), rho, delta, history=traj, t=1.0)
+    states = hj.march(g, np.zeros(g.n), 1.0, "implicit", 0.01, 0.02)
+    u_rep = hj.boundary_envelope_check(g, (s.u for s in states), rho, delta, g.l_sup(), t=1.0)
     return chi_rep.violation, u_rep.violation
 
 
@@ -224,13 +223,13 @@ def test_criterion_9_long_time_convergence():
     }
     details = []
     for tag, u0 in data.items():
-        traj, rep = hj.run_until_flat(g, u0, pair, tol=1e-3, dt=0.02)
+        rep, final = hj.run_until_flat(g, u0, pair, tol=1e-3, dt=0.02)
         lows, highs = np.array(rep.inf_gap), np.array(rep.sup_gap)
         assert (np.diff(lows) >= -1e-9).all(), tag
         assert (np.diff(highs) <= 1e-9).all(), tag
         assert rep.uniform_error[-1] < 1e-3, tag
         assert ((-rep.K >= lows - 1e-12) & (-rep.K <= highs + 1e-12)).all(), tag
-        details.append(f"{tag}: T={traj.times[-1]:.1f}, err={rep.uniform_error[-1]:.1e}")
+        details.append(f"{tag}: T={final.t:.1f}, err={rep.uniform_error[-1]:.1e}")
     elapsed = time.perf_counter() - start
     ok = elapsed < 600
     _line("9", ok, "; ".join(details) + f", {elapsed:.1f}s")

@@ -86,35 +86,35 @@ def test_implicit_matches_chained_explicit():
 def test_explicit_implicit_first_order_gap():
     g = helpers.grid("smoothA", 0.02)
     u0 = np.sin(2 * np.pi * g.x[:, 0])
-    ref = hj.evolve(g, u0, 0.2, mode="explicit").final()
+    *_, ref = hj.march(g, u0, 0.2, "explicit")
     errs = []
     for dt in (0.02, 0.01):
-        cur = hj.evolve(g, u0, 0.2, mode="implicit", dt=dt).final()
-        errs.append(np.abs(cur - ref).max())
+        *_, cur = hj.march(g, u0, 0.2, "implicit", dt)
+        errs.append(np.abs(cur.u - ref.u).max())
     assert errs[1] < errs[0]
     assert 1.3 < errs[0] / errs[1] < 3.5
 
 
 def test_evolve_constant_cost_linear_growth():
     g = helpers.grid("constantL", 0.01)
-    traj = hj.evolve(g, np.zeros(g.n), 3.0, mode="implicit", dt=0.05, snapshot_every=1.0)
-    assert traj.times == [0.0, 1.0, 2.0, 3.0]
-    assert np.abs(traj.final() - 6.0).max() < 1e-9
+    states = list(hj.march(g, np.zeros(g.n), 3.0, "implicit", 0.05, 1.0))
+    assert [s.t for s in states] == [0.0, 1.0, 2.0, 3.0]
+    assert np.abs(states[-1].u - 6.0).max() < 1e-9
 
 
 def test_a_priori_bound_smooth():
     g = helpers.grid("smoothA", 0.01)
-    traj = hj.evolve(g, np.zeros(g.n), 1.0, mode="explicit", snapshot_every=0.25)
-    assert np.abs(traj.final()).max() <= g.l_sup() * 1.0 * (1 + 1e-9)
+    *_, last = hj.march(g, np.zeros(g.n), 1.0, "explicit", snapshot_every=0.25)
+    assert np.abs(last.u).max() <= g.l_sup() * 1.0 * (1 + 1e-9)
 
 
 def test_snapshot_gap_constant():
     g = helpers.grid("smoothA", 0.01)
     u0 = np.sin(2 * np.pi * g.x[:, 0])
-    t1 = hj.evolve(g, u0, 0.5, mode="explicit", snapshot_every=0.1)
-    t2 = hj.evolve(g, u0 + 1.0, 0.5, mode="explicit", snapshot_every=0.1)
-    for a, b in zip(t1.snapshots, t2.snapshots):
-        gap = b - a
+    s1 = hj.march(g, u0, 0.5, "explicit", snapshot_every=0.1)
+    s2 = hj.march(g, u0 + 1.0, 0.5, "explicit", snapshot_every=0.1)
+    for a, b in zip(s1, s2, strict=True):
+        gap = b.u - a.u
         assert gap.min() >= 1 - 1e-9 and gap.max() <= 1 + 1e-9
 
 
@@ -155,16 +155,25 @@ def test_bad_inputs():
     with pytest.raises(ConfigError):
         initial_state(g, np.full(g.n, np.inf))
     with pytest.raises(ConfigError):
-        hj.evolve(g, np.zeros(g.n), -1.0)
+        next(hj.march(g, np.zeros(g.n), -1.0))
     with pytest.raises(ConfigError):
-        hj.evolve(g, np.zeros(g.n), 1.0, mode="implicit")  # dt required
+        next(hj.march(g, np.zeros(g.n), 1.0, "implicit"))  # dt required
     with pytest.raises(ConfigError):
-        hj.evolve(g, np.zeros(g.n), 1.0, mode="magic")
+        next(hj.march(g, np.zeros(g.n), 1.0, "magic"))
     with pytest.raises(ConfigError):
         initial_state(g, np.zeros(g.n + 1))
-    for kwargs in ({"dt": 0.0}, {"dt": -0.1}, {"snapshot_every": 0.0}):
-        with pytest.raises(ConfigError):
-            hj.evolve(g, np.zeros(g.n), 1.0, mode="implicit", **{"dt": 0.1, **kwargs})
+    bad = (
+        {"dt": 0.0}, {"dt": -0.1}, {"snapshot_every": 0.0},
+        # non-finite times: no overflow in the step count, no nan snapshot count
+        {"T": np.inf}, {"T": np.nan}, {"dt": np.inf}, {"dt": np.nan},
+        {"snapshot_every": np.inf}, {"snapshot_every": np.nan},
+    )
+    for kwargs in bad:
+        args = {"T": 1.0, "mode": "implicit", "dt": 0.1, **kwargs}
+        with pytest.raises(ConfigError, match="positive and finite"):
+            next(hj.march(g, np.zeros(g.n), **args))
+    with pytest.raises(ConfigError, match="T must be positive and finite, got inf"):
+        next(hj.march(g, np.zeros(g.n), np.inf, snapshot_every=0.1))
     # an explicit step above the CFL bound is refused before any state is yielded
     states = hj.march(g, np.zeros(g.n), 1.0, dt=2 * hj.cfl_dt(g))
     with pytest.raises(ConfigError, match="monotonicity bound"):
@@ -187,14 +196,15 @@ def test_substep_is_fixed_across_windows(monkeypatch, mode, dt):
     monkeypatch.setattr(cauchy, name, record)
     base = dt if dt is not None else 0.999 * hj.cfl_dt(g)
     per_window = int(np.ceil(0.1 / base - 1e-12))
-    traj = hj.evolve(g, np.zeros(g.n), 0.55, mode=mode, dt=dt, snapshot_every=0.1)
-    assert traj.times == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.55]
+    meta = {}
+    times = [s.t for s in hj.march(g, np.zeros(g.n), 0.55, mode, dt, 0.1, metadata=meta)]
+    assert times == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.55]
     full, last = taken[: 5 * per_window], taken[5 * per_window :]
     assert set(full) == {0.1 / per_window}
     # only the shorter final window, 0.55 - 0.5, gets its own step
     assert last == [(0.55 - 0.5) / len(last)] * len(last)
     assert last[0] <= base
-    assert traj.metadata["steps"] == len(taken)
+    assert meta["steps"] == len(taken)
 
 
 @pytest.mark.parametrize("name", helpers.PRESETS)
@@ -232,8 +242,8 @@ def test_solvers_refuse_a_grid_that_needs_boundary_data():
     message = r"2 boundary faces .* first at node 0 \(x=\[0\.01\]\)"
     u0 = np.zeros(g.n)
     solvers = (
-        lambda: hj.evolve(g, u0, 0.1),
-        lambda: hj.evolve(g, u0, 0.1, mode="implicit", dt=0.05),
+        lambda: next(hj.march(g, u0, 0.1)),
+        lambda: next(hj.march(g, u0, 0.1, "implicit", 0.05)),
         lambda: howard_solve(g, u0, 0.05),
         lambda: hj.solve_ergodic_policy(g),
         lambda: hj.solve_ergodic_rvi(g),
@@ -269,28 +279,31 @@ def test_overflowing_howard_solve_is_a_numerical_failure():
 
 def test_evolve_metadata():
     g = helpers.grid("smoothA", 0.05)
-    traj = hj.evolve(g, np.zeros(g.n), 0.2, mode="implicit", dt=0.1, snapshot_every=0.1)
-    assert traj.metadata["mode"] == "implicit"
-    assert traj.metadata["h"] == 0.05
-    assert traj.metadata["problem"] == helpers.problem("smoothA").fingerprint()
-    assert len(traj.snapshots) == len(traj.times) == 3
+    meta = {}
+    states = list(hj.march(g, np.zeros(g.n), 0.2, "implicit", 0.1, 0.1, metadata=meta))
+    assert meta["mode"] == "implicit"
+    assert meta["h"] == 0.05
+    assert meta["problem"] == helpers.problem("smoothA").fingerprint()
+    assert [s.t for s in states] == [0.0, 0.1, 0.2]
     # solver work equals the counts of the same steps taken one by one
     g2 = helpers.grid("twoControlA", 0.01)
     u0 = np.random.default_rng(4).uniform(-1.0, 1.0, g2.n)
-    traj = hj.evolve(g2, u0, 0.3, mode="implicit", dt=0.1, snapshot_every=0.1)
+    meta = {}
+    states = list(hj.march(g2, u0, 0.3, "implicit", 0.1, 0.1, metadata=meta))
     # every window is one step of exactly dt, not of the gap between its times
     state, sweeps = initial_state(g2, u0), []
-    for _ in traj.times[1:]:
+    for _ in states[1:]:
         state = step_implicit_policy(g2, state, 0.1)
         sweeps.append(state.sweeps)
-    assert np.array_equal(state.u, traj.final())
+    assert np.array_equal(state.u, states[-1].u)
     assert max(sweeps) >= 2
-    assert traj.metadata["steps"] == 3
-    assert traj.metadata["howard_sweeps"] == sum(sweeps)
-    assert traj.metadata["max_howard_sweeps"] == max(sweeps)
-    explicit = hj.evolve(g2, u0, 0.01, mode="explicit")
-    assert explicit.metadata["steps"] == int(np.ceil(0.01 / explicit.metadata["dt"] - 1e-12))
-    assert "howard_sweeps" not in explicit.metadata
+    assert meta["steps"] == 3
+    assert meta["howard_sweeps"] == sum(sweeps)
+    assert meta["max_howard_sweeps"] == max(sweeps)
+    explicit = {}
+    list(hj.march(g2, u0, 0.01, "explicit", metadata=explicit))
+    assert explicit["steps"] == int(np.ceil(0.01 / explicit["dt"] - 1e-12))
+    assert "howard_sweeps" not in explicit
 
 
 def test_cached_factor_equals_a_fresh_grid_per_step():

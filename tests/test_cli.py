@@ -251,13 +251,14 @@ def test_solve_streams_the_snapshots_of_evolve(tmp_path, name, mode, dt, snap, T
     assert res.returncode == 0, res.stderr
     g = hj.build_grid(hj.assemble_problem({"preset": name}), 0.01)
     u0 = np.random.default_rng(3).uniform(-1.0, 1.0, g.n)
-    traj = hj.evolve(g, u0, float(T), mode=mode, dt=dt and float(dt), snapshot_every=float(snap))
+    want = {}
+    states = list(hj.march(g, u0, float(T), mode, dt and float(dt), float(snap), metadata=want))
     streamed = _snapshot_values(out)
-    assert len(streamed) == len(traj.snapshots)
-    assert all(np.array_equal(a, b) for a, b in zip(streamed, traj.snapshots))
+    assert len(streamed) == len(states)
+    assert all(np.array_equal(a, b.u) for a, b in zip(streamed, states))
     meta = json.loads((out / "metadata.json").read_text())
-    assert meta == {**traj.metadata, "times": traj.times}
-    assert f"with {len(traj.snapshots)} snapshots" in res.stdout
+    assert meta == {**want, "times": [s.t for s in states]}
+    assert f"with {len(states)} snapshots" in res.stdout
     if mode == "implicit":
         # fifty windows of one step each, all of exactly dt: one factorization
         assert meta["steps"] == 50 and meta["factorizations"] == 1
@@ -349,6 +350,46 @@ def test_envelope_smoke(tmp_path):
     assert res.returncode == 0, res.stderr
     rep = json.loads((out / "envelope.json").read_text())
     assert rep["lower_violation"] <= 2e-2 and rep["upper_violation"] <= 2e-2
+
+
+def test_envelope_evolutive(tmp_path):
+    out = tmp_path / "n"
+    res = run_cli("envelope", preset_path("smoothA"), "--h", "0.01", "--rho", "0.4",
+                  "--delta", "0.1", "--t", "1", "--dt", "0.05", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    rep = json.loads((out / "envelope.json").read_text())
+    assert rep["checked_at_t"] == 1.0 and rep["certified"] is True
+    assert max(rep["lower_violation"], rep["upper_violation"]) <= 2e-2
+    assert json.loads((out / "manifest.json").read_text())["t"] == 1.0
+    # a bad rho is refused before the evolution, and nothing is written
+    never = tmp_path / "never"
+    res = run_cli("envelope", preset_path("smoothA"), "--h", "0.01", "--rho", "5",
+                  "--delta", "0.1", "--t", "3", "--out", str(never))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: rho=5.0 outside the certified range")
+    assert not never.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (("solve", "--T", "inf"), "T must be positive and finite, got inf"),
+    (("solve", "--T", "1", "--snap", "inf"), "snapshot cadence must be positive and finite"),
+    (("solve", "--T", "1", "--mode", "implicit", "--dt", "inf"), "dt must be positive and finite"),
+    (("converge", "--t-max", "inf"), "T must be positive and finite, got inf"),
+    (("envelope", "--rho", "0.4", "--delta", "0.1", "--t", "inf"), "T must be positive and finite"),
+    (("ergodic", "--tol", "inf"), "tolerance must be positive and finite, got inf"),
+    (("converge", "--tol", "0"), "tol must be positive and finite, got 0.0"),
+    (("converge", "--tol", "nan"), "tol must be positive and finite, got nan"),
+    (("holder", "--fit-min", "0.02"), "--fit-min and --fit-max"),
+    (("holder", "--fit-max", "0.1"), "--fit-min and --fit-max"),
+    (("envelope", "--rho", "0.4", "--delta", "0.1", "--dt", "0.01"), "--dt"),
+])
+def test_refuses_non_finite_times_vacuous_tolerances_and_idle_flags(tmp_path, command, message):
+    out = tmp_path / "never"
+    res = run_cli(command[0], preset_path("smoothA"), "--h", "0.05", *command[1:], "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert message in res.stderr
+    assert not out.exists()
 
 
 def test_flag_overrides_config_h(tmp_path):

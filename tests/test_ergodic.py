@@ -3,7 +3,7 @@ import pytest
 
 import helpers
 import hjblab as hj
-from hjblab.errors import NumericalError
+from hjblab.errors import ConfigError, NumericalError
 from hjblab.grid import apply_H
 
 
@@ -143,12 +143,9 @@ def test_iteration_budget_error():
 
 
 def test_params_validation():
-    with pytest.raises(Exception):
-        hj.ErgodicSolverParams(tolerance=-1.0)
-    with pytest.raises(Exception):
-        hj.ErgodicSolverParams(t1=0.5, t2=4.0)
-    with pytest.raises(Exception):
-        hj.ErgodicSolverParams(t1=4.0, t2=2.0)
+    for tolerance in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="tolerance must be positive and finite"):
+            hj.ErgodicSolverParams(tolerance=tolerance)
 
 
 def test_pair_serializes():
