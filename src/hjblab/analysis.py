@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geometry as geo
 from .barriers import find_barrier_delta
-from .cauchy import CauchyState, march
+from .cauchy import CauchyState, march, plan_march
 from .ergodic import ErgodicPair
 from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField
@@ -334,6 +334,16 @@ def convergence_diagnostics(
     return _bracket_report(grid, pair, dt, curves)
 
 
+def check_flat(grid: Grid, tol: float, dt: float, t_max: float) -> None:
+    """Refuse the arguments of :func:`run_until_flat` as it would, before
+    the ergodic pair it needs is computed: ``tol`` must be positive and
+    finite, and ``dt`` and ``t_max`` must plan a march
+    (:func:`~hjblab.cauchy.plan_march`)."""
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    plan_march(grid, t_max, "implicit", dt, snapshot_every=dt)
+
+
 def run_until_flat(
     grid: Grid,
     u0: GridField,
@@ -348,11 +358,10 @@ def run_until_flat(
     A :func:`~hjblab.cauchy.march` with one state per step, at the times
     k dt; each state is reduced to (t, min w, max w) as it is drawn, and
     no field is kept.  Returns the :func:`convergence_diagnostics` report
-    on those states and the final state.  ``tol`` must be positive and
-    finite; raises if the gap has not closed by ``t_max``.
+    on those states and the final state.  The arguments are refused as
+    by :func:`check_flat`; raises if the gap has not closed by ``t_max``.
     """
-    if not 0 < tol < np.inf:
-        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    check_flat(grid, tol, dt, t_max)
     curves = []
     states = march(grid, u0, t_max, "implicit", dt, snapshot_every=dt)
     for state, low, high in _brackets(grid, states, pair):

@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--t", type=float, default=None, help="evolutive check at this time")
-    p.add_argument("--u0", default="zero")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--u0", default=None, help="initial field of the evolutive check (default zero)")
+    p.add_argument("--seed", type=int, default=None, help="seed of --u0 random (default 0)")
     p.add_argument("--dt", type=float, default=None, help="step of the evolutive check")
     p.add_argument("--require-certified", action="store_true")
     return parser
@@ -271,8 +271,9 @@ def _dispatch(args, config: dict, problem) -> int:
         return 0
 
     if args.command == "converge":
-        pair = _ergodic_pair(grid)
         u0 = _u0_field(grid, args.u0, args.seed)
+        analysis.check_flat(grid, args.tol, args.dt, args.t_max)  # before the ergodic solve
+        pair = _ergodic_pair(grid)
         report, _ = analysis.run_until_flat(
             grid, u0, pair, tol=args.tol, dt=args.dt, t_max=args.t_max
         )
@@ -311,11 +312,14 @@ def _dispatch(args, config: dict, problem) -> int:
 
     if args.command == "envelope":
         if args.t is None:
-            if args.dt is not None:
-                raise ConfigError("--dt is the step of the evolutive check and needs --t")
+            for flag, value in (("--dt", args.dt), ("--u0", args.u0), ("--seed", args.seed)):
+                if value is not None:
+                    raise ConfigError(f"{flag} sets the evolutive check and needs --t")
             pair = _ergodic_pair(grid)
             fields, barrier_M = [pair.chi], 2 * abs(pair.c) + grid.l_sup()
         else:
+            args.u0 = args.u0 if args.u0 is not None else "zero"
+            args.seed = args.seed if args.seed is not None else 0
             u0 = _u0_field(grid, args.u0, args.seed)
             dt = args.dt if args.dt is not None else 0.01
             states = cauchy.march(grid, u0, args.t, "implicit", dt, snapshot_every=dt)

@@ -145,7 +145,7 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
         if not np.isfinite(yz).all():
             raise NumericalError(f"the frozen-policy solve is non-finite at policy iteration {iteration}")
         # (A u)[anchor] for u = y, z in neighbor differences: the pinned row
-        # holds u[anchor] = 0 only up to the roundoff of the pivoted solve
+        # holds u[anchor] = 0 only up to the roundoff of the solve
         ca = policy[anchor]
         a_y, a_z = (
             grid.coef_minus[ca, anchor] @ (yz[gather_minus] - yz[anchor])

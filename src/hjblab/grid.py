@@ -28,9 +28,11 @@ evaluates each control's coefficients once per point set (the nodes, the
 points x +- fd_step of the divergence difference, the face midpoints and
 the boundary feet) through the array evaluator of :mod:`hjblab.expr`, so
 the cached stencil entries are bit-identical to the pointwise
-``ControlProblem`` values.  Only diagonal diffusion is supported; a
-control with a nonzero off-diagonal entry of a at any node is refused
-with :class:`ConfigError`.
+``ControlProblem`` values.  At the divergence points and the faces only
+a_kk is needed, and only row k of sigma is evaluated there
+(``ControlProblem.diffusion_diagonal``).  Only diagonal diffusion is
+supported; a control with a nonzero off-diagonal entry of a at any node
+is refused with :class:`ConfigError`.
 
 The per-control data are stacked tables on the :class:`Grid`, the
 control index first: ``coef_minus``, ``coef_plus``, ``b_raw``, ``a_diag``,
@@ -163,6 +165,10 @@ class Grid:
         self.face = np.zeros((C, n, N, 2))
         bt = np.empty((C, n, N))  # effective advection b - div(a); only the build reads it
         nu = np.zeros((C, n))
+        # away from the nodes the build reads a_kk alone, from row k of sigma:
+        # the full a is needed only at the nodes (the off-diagonal refusal)
+        # and at the boundary feet (the normal diffusivity)
+        a_kk = problem.diffusion_diagonal
         for ci, control in enumerate(problem.controls):
             a = problem.diffusion(x, ci)
             off = (a[:, off_diagonal] != 0.0).any(axis=1)
@@ -176,21 +182,17 @@ class Grid:
             self.l[ci] = problem.cost(x, ci)
             self.a_diag[ci] = np.diagonal(a, axis1=1, axis2=2)
             for k in range(N):
-
-                def a_kk(pts):
-                    return problem.diffusion(pts, ci)[:, k, k]
-
                 # centered difference of a_kk along axis k
                 xp, xm = x.copy(), x.copy()
                 xp[:, k] += fd_step
                 xm[:, k] -= fd_step
-                bt[ci, :, k] = self.b_raw[ci, :, k] - (a_kk(xp) - a_kk(xm)) / (2 * fd_step)
+                bt[ci, :, k] = self.b_raw[ci, :, k] - (a_kk(xp, ci, k) - a_kk(xm, ci, k)) / (2 * fd_step)
                 # face diffusivities at the midpoints towards existing neighbors
                 for side, sign in ((0, -1.0), (1, 1.0)):
                     inner = has[:, k, side]
                     xf = x[inner]
                     xf[:, k] += sign * h / 2
-                    self.face[ci, inner, k, side] = a_kk(xf)
+                    self.face[ci, inner, k, side] = a_kk(xf, ci, k)
             nu[ci, edge] = quadratic_form(problem.diffusion(foot, ci), normal)
             if not (
                 np.isfinite(self.b_raw[ci]).all()

@@ -106,6 +106,13 @@ class ControlProblem:
         """a = sigma sigma^T at one point, (N, N), or at a block, (m, N, N)."""
         return gram(self.sigma_matrix(x, ci))
 
+    def diffusion_diagonal(self, x, ci: int, k: int):
+        """a_kk = |row k of sigma|^2 at one point (a scalar) or at a block of
+        points, (m,).  Only row k of sigma is evaluated, and the products
+        are summed as in ``diffusion(x, ci)[..., k, k]``: the same bits."""
+        row = self._values(self.controls[ci].sigma[k], x)
+        return rowdot(row, row)
+
     def cost(self, x, ci: int):
         """l at one point (a float) or at a block of points, (m,)."""
         vals = self._values((self.controls[ci].l,), x)[..., 0]

@@ -40,3 +40,23 @@ def test_traced_names_resolve_and_flat_steps_count_the_converge_steps(tmp_path, 
     # one implicit step per recorded time, each one traced through march
     assert metrics["cauchy.implicit_steps"] == steps
     assert metrics["cauchy.howard_sweeps"] >= steps
+
+
+def test_traced_disk_solve_counts(tmp_path, capsys):
+    # a 2-D build evaluates 27 trees: 7 at the nodes (b, sigma, l), one row
+    # of sigma (2 trees) at each of the 8 divergence and face point sets,
+    # and sigma at the boundary feet; one dt and one policy make one factor
+    spans = _spans()
+    out = tmp_path / "s"
+    config = os.path.join(ROOT, "perfbench", "disk.json")
+    argv = ["solve", config, "--h", "0.1", "--mode", "implicit", "--dt", "0.05", "--T", "0.2",
+            "--out", str(out)]
+    with spans.Tracer() as tracer:
+        code = cli.run(argv)
+    assert code == 0, capsys.readouterr().err
+    metrics = tracer.layer_metrics()
+    assert metrics["expr.evaluate_calls"] == 27
+    assert metrics["grid.build_calls"] == 1
+    # the run's factorizations are the fresh grid's grid.factorizations
+    assert json.loads((out / "metadata.json").read_text())["factorizations"] == 1
+    assert metrics["cauchy.implicit_steps"] == 4

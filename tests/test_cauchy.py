@@ -342,3 +342,62 @@ def test_cached_factor_is_never_stale():
         want = howard_solve(hj.build_grid(problem, 0.1), u, dt)
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], dt
         u = got[0]
+
+
+def test_march_refuses_a_step_count_that_overflows():
+    # T / snapshot_every and span / dt overflow to inf: refused, not converted to int
+    g = helpers.grid("smoothA", 0.05)
+    with pytest.raises(ConfigError, match="snapshot count .* is not finite"):
+        next(hj.march(g, np.zeros(g.n), 1e300, snapshot_every=1e-300))
+    with pytest.raises(ConfigError, match="step count .* is not finite"):
+        next(hj.march(g, np.zeros(g.n), 1.0, "implicit", dt=1e-310))
+    plan = cauchy.plan_march(g, 0.55, "implicit", 0.03, 0.1)
+    assert (plan.snapshots, plan.full, plan.last[0], plan.dt) == (6, (4, 0.025), 2, 0.03)
+
+
+def _dense(g, matrix):
+    if g.ndim == 2:
+        return matrix.toarray()
+    return np.diag(matrix[1]) + np.diag(matrix[0, 1:], 1) + np.diag(matrix[2, :-1], -1)
+
+
+@pytest.mark.parametrize("name", [*helpers.PRESETS, "disk"])
+def test_frozen_matrix_is_an_m_matrix_with_row_sums_shift(name):
+    # off-diagonal entries <= 0 and row sums equal to shift: the matrix is an
+    # M-matrix diagonally dominant by rows, which the unpivoted 2-D factor needs
+    if name == "disk":
+        g = hj.build_grid(hj.assemble_problem(helpers.disk_config()), 0.1)
+    else:
+        g = helpers.grid(name, 0.05)
+    rng = np.random.default_rng(9)
+    for scale, shift, pin in ((0.05, 1.0, None), (10.0, 1.0, None), (1.0, 0.0, g.n // 2)):
+        policy = rng.integers(0, g.n_controls, g.n)
+        m = _dense(g, frozen_matrix(g, policy, scale, shift, pin))
+        off = m - np.diag(np.diag(m))
+        assert (off <= 0.0).all()
+        rows = np.arange(g.n) != pin
+        sums = m[rows].sum(axis=1)
+        assert (np.abs(sums - shift) <= 1e-13 * np.abs(m[rows]).sum(axis=1)).all()
+        if pin is not None:
+            assert np.array_equal(m[pin], np.eye(g.n)[pin])
+
+
+def test_disk_factor_matches_spsolve():
+    import scipy.sparse.linalg
+
+    g = hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.1)
+    rng = np.random.default_rng(10)
+    policy = rng.integers(0, g.n_controls, g.n)
+    rhs = rng.uniform(-1.0, 1.0, g.n)
+    for scale, shift, pin in ((0.05, 1.0, None), (1.0, 0.0, g.n // 2)):
+        got = frozen_factor(g, policy, scale, shift, pin).solve(rhs)
+        want = scipy.sparse.linalg.spsolve(frozen_matrix(g, policy, scale, shift, pin), rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (scale, shift, pin)
+
+
+def test_disk_factor_is_fill_reducing():
+    # multiple minimum degree on A + A^T leaves 277,418 entries in L + U on
+    # this operator; COLAMD with partial pivoting left 494,616
+    g = hj.build_grid(hj.assemble_problem(helpers.disk_config()), 0.02)
+    factor = frozen_factor(g, np.zeros(g.n, dtype=np.int64), 0.05, 1.0)
+    assert factor.L.nnz + factor.U.nnz <= 300_000

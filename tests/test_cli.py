@@ -382,6 +382,12 @@ def test_envelope_evolutive(tmp_path):
     (("holder", "--fit-min", "0.02"), "--fit-min and --fit-max"),
     (("holder", "--fit-max", "0.1"), "--fit-min and --fit-max"),
     (("envelope", "--rho", "0.4", "--delta", "0.1", "--dt", "0.01"), "--dt"),
+    (("envelope", "--rho", "0.4", "--delta", "0.1", "--u0", "random"), "--u0 sets the evolutive"),
+    (("envelope", "--rho", "0.4", "--delta", "0.1", "--seed", "3"), "--seed sets the evolutive"),
+    # step and snapshot counts that overflow to inf are refused, not converted
+    (("solve", "--T", "1e300", "--snap", "1e-300"), "snapshot count of T=1e+300 every 1e-300"),
+    (("solve", "--T", "1", "--mode", "implicit", "--dt", "1e-310"), "step count of a span 1.0"),
+    (("converge", "--dt", "1e-310"), "snapshot count of T=500.0 every 1e-310"),
 ])
 def test_refuses_non_finite_times_vacuous_tolerances_and_idle_flags(tmp_path, command, message):
     out = tmp_path / "never"
@@ -392,6 +398,29 @@ def test_refuses_non_finite_times_vacuous_tolerances_and_idle_flags(tmp_path, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [("--tol", "0"), ("--dt", "-1"), ("--t-max", "inf"),
+                                   ("--dt", "1e-310")])
+def test_converge_refuses_before_the_ergodic_solve(tmp_path, monkeypatch, capsys, flags):
+    import hjblab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the ergodic pair was computed")
+
+    monkeypatch.setattr(cli.ergodic, "solve_ergodic_policy", never)
+    out = tmp_path / "never"
+    code = cli.run(["converge", preset_path("smoothA"), "--h", "0.05", *flags, "--out", str(out)])
+    assert code == 2, capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stationary_envelope_records_no_seed(tmp_path):
+    out = tmp_path / "n"
+    res = run_cli("envelope", preset_path("smoothA"), "--h", "0.01", "--rho", "0.4",
+                  "--delta", "0.1", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+
 def test_flag_overrides_config_h(tmp_path):
     out = tmp_path / "e"
     res = run_cli("ergodic", preset_path("constantL"), "--method", "rvi",
@@ -400,18 +429,35 @@ def test_flag_overrides_config_h(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["h"] == 0.02
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_determinism_across_runs(tmp_path, threads):
-    """Two runs with HJB_THREADS set, and one with it unset, write the same bytes."""
-    args = ("ergodic", preset_path("constantL"), "--method", "rvi", "--h", "0.01")
+def _same_bytes_across_runs(tmp_path, args, thread_values):
+    """Two runs per HJB_THREADS value, and one with it unset, write the same bytes."""
     outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / f"{threads}-{tag}"
-        res = run_cli(*args, "--out", str(out), env={"HJB_THREADS": threads})
-        assert res.returncode == 0
-        outs.append(read_all_bytes(out))
+    for threads in thread_values:
+        for tag in ("a", "b"):
+            out = tmp_path / f"{threads}-{tag}"
+            res = run_cli(*args, "--out", str(out), env={"HJB_THREADS": threads})
+            assert res.returncode == 0, res.stderr
+            outs.append(read_all_bytes(out))
     out = tmp_path / "unset"
     res = run_cli(*args, "--out", str(out), unset=("HJB_THREADS",))
     assert res.returncode == 0, res.stderr
     outs.append(read_all_bytes(out))
-    assert outs[0] == outs[1] == outs[2]
+    assert all(blobs == outs[0] for blobs in outs[1:])
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_determinism_across_runs(tmp_path, threads):
+    args = ("ergodic", preset_path("constantL"), "--method", "rvi", "--h", "0.01")
+    _same_bytes_across_runs(tmp_path, args, (threads,))
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--mode", "implicit", "--dt", "0.05", "--T", "0.2", "--snap", "0.1"),
+    ("ergodic",),
+])
+def test_disk_determinism_across_runs(tmp_path, command):
+    # the 2-D sparse factor, like the 1-D one, gives the same bytes every run
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(helpers.disk_config()))
+    args = (command[0], str(path), "--h", "0.05", *command[1:])
+    _same_bytes_across_runs(tmp_path, args, ("1", "4"))

@@ -58,6 +58,17 @@ def test_policy_singular_operator_raises():
         hj.solve_ergodic_policy(hj.build_grid(flat, 0.1))
 
 
+def test_policy_reducible_disk_operator_raises():
+    # pure drift along x1: the nodes off the anchor's row never reach it, yet
+    # the operator has nonzero off-diagonals, so the unpivoted 2-D factor
+    # must still find the zero pivot
+    cfg = dict(DISK, controls=[{"b": ["x1", "0"], "sigma": [["0", "0"], ["0", "0"]], "l": "x1^2"}])
+    g = hj.build_grid(hj.assemble_problem(cfg), 0.1)
+    assert (g.coef_minus != 0.0).any() or (g.coef_plus != 0.0).any()
+    with pytest.raises(NumericalError, match="singular .* never reaches the anchor"):
+        hj.solve_ergodic_policy(g)
+
+
 def test_policy_residual_above_tolerance_raises():
     g = helpers.grid("smoothA", 0.004)
     with pytest.raises(NumericalError, match="residual"):

@@ -98,11 +98,14 @@ def test_control_values_match_per_node_reference():
 
 def test_cached_coefficients_match_direct_evaluation():
     # one evaluator: the grid caches equal the pointwise API bit for bit,
-    # also for fractional powers (degenerateB: 0.4 and 0.75) and on a disk
+    # also for fractional powers (degenerateB: 0.4 and 0.75) and on a disk,
+    # at the nodes and at the faces on both sides
     cases = [
         (helpers.problem("twoControlA"), 0.05),
         (helpers.problem("degenerateB"), 0.05),
         (hj.assemble_problem(helpers.disk_config()), 0.125),
+        # anisotropic: a face of axis k must read row k of sigma, not another
+        (hj.assemble_problem(helpers.two_control_disk_config()), 0.125),
     ]
     for p, h in cases:
         g = hj.build_grid(p, h)
@@ -113,10 +116,56 @@ def test_cached_coefficients_match_direct_evaluation():
                 a = p.diffusion(g.x[i], ci)
                 assert np.array_equal(g.a_diag[ci, i], np.diagonal(a))
                 for k in range(g.ndim):
-                    if g._nbr[i, k, 1] >= 0:
-                        xf = g.x[i].copy()
-                        xf[k] += h / 2
-                        assert g.face[ci, i, k, 1] == p.diffusion(xf, ci)[k, k]
+                    for side, offset in ((0, -h / 2), (1, h / 2)):
+                        if g._nbr[i, k, side] >= 0:
+                            xf = g.x[i].copy()
+                            xf[k] += offset
+                            assert g.face[ci, i, k, side] == p.diffusion(xf, ci)[k, k]
+
+
+def test_upwind_drift_is_b_minus_div_a():
+    # at a node with both neighbors on axis k, cm + cp = -(faces) / h^2 - |bt_k| / h,
+    # and bt_k = b_k - d(a_kk)/dx_k: a divergence of the wrong a_kk shows here
+    p = hj.assemble_problem(helpers.two_control_disk_config())
+    h, step = 0.125, 1e-5
+    g = hj.build_grid(p, h)
+    for ci in range(g.n_controls):
+        for k in range(g.ndim):
+            inner = (g._nbr[:, k, :] >= 0).all(axis=1)
+            faces = g.face[ci, inner, k].sum(axis=1) / h**2
+            recovered = -h * (g.coef_minus[ci, inner, k] + g.coef_plus[ci, inner, k] + faces)
+            xp, xm = g.x[inner].copy(), g.x[inner].copy()
+            xp[:, k] += step
+            xm[:, k] -= step
+            div = (p.diffusion(xp, ci)[:, k, k] - p.diffusion(xm, ci)[:, k, k]) / (2 * step)
+            assert np.allclose(recovered, np.abs(p.drift(g.x[inner], ci)[:, k] - div), atol=1e-7)
+
+
+def _three_column_disk_config() -> dict:
+    """A disk control whose sigma has three columns, so a_kk sums three products."""
+    cfg = helpers.disk_config()
+    cfg["controls"][0]["sigma"] = [["d", "0.3*d*x1", "d^0.75"], ["0.5*d", "d*x2", "0.1"]]
+    return cfg
+
+
+def test_diffusion_diagonal_is_the_gram_diagonal_bit_for_bit():
+    # the build reads a_kk off row k of sigma alone; it must equal the
+    # diagonal of the full a = sigma sigma^T on blocks and at single points
+    # points near the nodes of a grid on the domain (sigma with three columns
+    # has an off-diagonal a, which the build refuses, so it borrows the disk's)
+    disk_nodes = hj.build_grid(hj.assemble_problem(helpers.disk_config()), 0.05).x
+    cases = [(helpers.problem(name), helpers.grid(name, 0.05).x) for name in helpers.PRESETS]
+    cases += [
+        (hj.assemble_problem(cfg()), disk_nodes)
+        for cfg in (helpers.disk_config, helpers.two_control_disk_config, _three_column_disk_config)
+    ]
+    for p, nodes in cases:
+        pts = nodes + 0.01 * np.random.default_rng(11).uniform(-1.0, 1.0, nodes.shape)
+        for ci in range(len(p.controls)):
+            a = p.diffusion(pts, ci)
+            for k in range(p.dim):
+                assert np.array_equal(p.diffusion_diagonal(pts, ci, k), a[:, k, k])
+                assert p.diffusion_diagonal(pts[3], ci, k) == a[3, k, k]
 
 
 def test_off_diagonal_diffusion_refused():
