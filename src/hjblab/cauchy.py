@@ -5,7 +5,8 @@ boundary degeneracy, so both steppers act on interior nodes only, and a
 grid whose stencil would need boundary data is refused
 (:func:`hjblab.grid.require_no_boundary_data`).
 
-* :func:`step_explicit` is forward Euler, monotone under the CFL bound;
+* :func:`step_explicit` is forward Euler, monotone under the CFL bound,
+  which it checks at each call;
 * :func:`step_implicit_policy` is backward Euler solved by policy
   iteration (alternating per-node control maximization with a linear
   solve for the frozen controls); each frozen-control matrix is an
@@ -13,13 +14,27 @@ grid whose stencil would need boundary data is refused
 
 :func:`march` is the one stepping loop and the only evolution API: a
 generator that yields the initial state and then the state at each
-snapshot time.  It refuses non-finite times, fixes the sub-step once for
+snapshot time.  It refuses non-finite times and snapshot or step counts
+above ``MAX_SNAPSHOTS`` or ``MAX_STEPS``, fixes the sub-step once for
 every full snapshot window (only a shorter final window gets its own),
-checks the CFL bound before the first step, every state for finiteness
-and the a-priori bound at snapshot times, and counts the Howard sweeps
-and factorizations of the run.  Each consumer reduces a state as it is
+checks the CFL bound for every sub-step before the first step and the
+a-priori bound at snapshot times, and counts the Howard sweeps and
+factorizations of the run.  Each consumer reduces a state as it is
 drawn (``solve`` writes it, ``converge`` and the evolutive ``envelope``
 keep a few floats of it), so no evolution is held in memory.
+
+An implicit window is checked for finiteness after every step.  An
+explicit window runs as one tight loop of ``u - dt H[u]``
+(``_explicit_window``), with no per-step bookkeeping, and is checked
+once, at its end.  That check misses nothing: a non-finite ``u_i`` makes
+every stencil term ``coef * (u_j - u_i)`` of node i non-finite (``0 *
+inf`` is nan), so H[u]_i, the maximum over controls of such sums, is
+non-finite too, and so is ``u_i - dt H[u]_i``; once an entry is
+non-finite it stays so until the window ends.  A window that ends
+non-finite is replayed from its start state one :func:`step_explicit`
+at a time, checked after each step, which raises the same error, with
+the node, x and time of the first non-finite step, that a stepwise
+march would.
 
 :func:`frozen_matrix` builds the frozen-control matrix, and
 :func:`frozen_factor` is the only way any solver solves it: the implicit
@@ -68,6 +83,10 @@ SPLU_OPTIONS = {
     "diag_pivot_thresh": 0.0,
     "options": {"SymmetricMode": True},
 }
+# the most snapshots and steps one march may plan: far above any run the
+# tools make (the benchmark's largest has 501 snapshots and 31,300 steps)
+MAX_SNAPSHOTS = 10**6
+MAX_STEPS = 10**9
 MAX_HOWARD_SWEEPS = 100
 HOWARD_RESIDUAL_TOL = 1e-12  # relative to the data size
 
@@ -100,12 +119,21 @@ def initial_state(grid: Grid, u0: GridField) -> CauchyState:
     return CauchyState(t=0.0, u=u0.copy(), u0_sup=float(np.abs(u0).max()), l_sup=grid.l_sup())
 
 
+def _explicit_window(grid: Grid, u: GridField, count: int, dt: float) -> GridField:
+    """``count`` forward Euler steps of ``dt`` from ``u``, unchecked: the
+    caller has checked dt against the CFL bound and checks the result
+    for finiteness."""
+    for _ in range(count):
+        u = u - dt * apply_H(grid, u)
+    return u
+
+
 def step_explicit(grid: Grid, state: CauchyState, dt: float) -> CauchyState:
     """One forward Euler step; dt must respect the CFL bound."""
     limit = cfl_dt(grid)
     if dt > limit * (1 + 1e-9):
         raise ConfigError(f"dt={dt} exceeds the monotonicity bound {limit}")
-    u = state.u - dt * apply_H(grid, state.u)
+    u = _explicit_window(grid, state.u, 1, dt)
     return CauchyState(state.t + dt, u, state.u0_sup, state.l_sup, state.step_count + 1)
 
 
@@ -310,7 +338,8 @@ def plan_march(
 
     Raises :class:`ConfigError` for a time that is not positive and finite,
     an unknown mode, an implicit run without dt, a snapshot or step count
-    that overflows, and an explicit sub-step above the CFL bound, and
+    that overflows or exceeds ``MAX_SNAPSHOTS`` or ``MAX_STEPS``, and an
+    explicit sub-step above the CFL bound, and
     :class:`NumericalError` for a grid that needs boundary data.
     """
     if not 0 < T < np.inf:
@@ -330,9 +359,16 @@ def plan_march(
     base_dt = dt if dt is not None else 0.999 * limit
     windows = T / snapshot_every
     n_snaps = _count(windows, f"the snapshot count of T={T} every {snapshot_every}")
+    if n_snaps > MAX_SNAPSHOTS:
+        raise ConfigError(
+            f"T={T} every {snapshot_every} makes {n_snaps} snapshots, above the cap of {MAX_SNAPSHOTS}"
+        )
     full = _substeps(snapshot_every, base_dt)
     last_span = T - (n_snaps - 1) * snapshot_every
     last = full if n_snaps - windows <= 1e-9 else _substeps(last_span, base_dt)
+    steps = (n_snaps - 1) * full[0] + last[0]
+    if steps > MAX_STEPS:
+        raise ConfigError(f"T={T} in steps of {base_dt} makes {steps} steps, above the cap of {MAX_STEPS}")
     step = max(full[1], last[1])
     if step > limit * (1 + 1e-9):
         raise ConfigError(f"dt={step} exceeds the monotonicity bound {limit}")
@@ -360,11 +396,13 @@ def march(
     factorization; only a final window shorter than ``snapshot_every``
     gets its own sub-step.  The recorded time of a snapshot is its target
     time, not the sum of the sub-steps.  ``T``, ``dt`` and
-    ``snapshot_every`` must be positive and finite, and so must the
-    snapshot and step counts they give (:func:`plan_march`, which a caller
-    may run first to refuse a bad run early).  An explicit sub-step
-    above the CFL bound is refused before the first step; a non-finite
-    value aborts with the offending node, and the a-priori bound is
+    ``snapshot_every`` must be positive and finite, and the snapshot and
+    step counts they give finite and within ``MAX_SNAPSHOTS`` and
+    ``MAX_STEPS`` (:func:`plan_march`, which a caller may run first to
+    refuse a bad run early).  An explicit sub-step above the CFL bound is
+    refused before the first step; a non-finite value aborts with the
+    offending node and the time of the step that produced it (an explicit
+    window is checked once, at its end), and the a-priori bound is
     checked at every snapshot.  A grid that needs boundary data is
     refused.  Each step returns new arrays, so a yielded ``state.u`` may
     be kept as it is.
@@ -401,14 +439,21 @@ def march(
         # an overflowing step is reported by _check_finite, not by a numpy warning;
         # one errstate per window: one per explicit step adds about 14% to the step
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(count):
-                if implicit:
+            if implicit:
+                for _ in range(count):
                     state = step_implicit_policy(grid, state, sub)
                     record["howard_sweeps"] += state.sweeps
                     record["max_howard_sweeps"] = max(record["max_howard_sweeps"], state.sweeps)
-                else:
-                    state = step_explicit(grid, state, sub)
-                _check_finite(grid, state.u, state.t)
+                    _check_finite(grid, state.u, state.t)
+            else:
+                u = _explicit_window(grid, state.u, count, sub)
+                if not np.isfinite(u).all():
+                    # a non-finite entry stays non-finite, so the stepwise
+                    # replay of the window raises at the first bad step
+                    for _ in range(count):
+                        state = step_explicit(grid, state, sub)
+                        _check_finite(grid, state.u, state.t)
+                state = CauchyState(state.t, u, state.u0_sup, state.l_sup, state.step_count + count)
         state.t = min(js * plan.every, T)  # the target, without accumulated drift
         state.check_bound()
         record["steps"] = state.step_count

@@ -126,9 +126,8 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
     params = params or ErgodicSolverParams()
     require_no_boundary_data(grid)
     anchor = _anchor(grid, params)
-    n = grid.n
-    gather_minus = grid._gather_minus[:, anchor]
-    gather_plus = grid._gather_plus[:, anchor]
+    n, N = grid.n, grid.ndim
+    gather = grid._gather[:, anchor]
     rhs = np.ones((n, 2))
     rhs[anchor] = 0.0
     policy = maximizing_policy(grid, np.zeros(n))
@@ -147,10 +146,8 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
         # (A u)[anchor] for u = y, z in neighbor differences: the pinned row
         # holds u[anchor] = 0 only up to the roundoff of the solve
         ca = policy[anchor]
-        a_y, a_z = (
-            grid.coef_minus[ca, anchor] @ (yz[gather_minus] - yz[anchor])
-            + grid.coef_plus[ca, anchor] @ (yz[gather_plus] - yz[anchor])
-        )
+        coef, diffs = grid._coef[:, ca, anchor], yz[gather] - yz[anchor]
+        a_y, a_z = coef[:N] @ diffs[:N] + coef[N:] @ diffs[N:]
         c = float((a_y - grid.l[ca, anchor]) / (1.0 - a_z))
         chi = yz[:, 0] + c * yz[:, 1]
         new_policy = maximizing_policy(grid, chi)

@@ -39,11 +39,15 @@ control index first: ``coef_minus``, ``coef_plus``, ``b_raw``, ``a_diag``,
 ``updir`` and ``forced`` are ``(n_controls, n, N)``, ``l`` is
 ``(n_controls, n)`` and ``face``, ``face_clamped`` and ``face_dropped`` are
 ``(n_controls, n, N, 2)`` with the minus side first.  Every solver reads
-or indexes these tables: :func:`control_values` is one broadcast over all
-controls at once, and a frozen policy picks its rows with one fancy index.
-The build also keeps per-axis contiguous copies of the coefficient
-tables, ``(N, n_controls, n)``, and the neighbor gather indices per axis,
-``(N, n)``, which :func:`control_values` reads one axis at a time.
+or indexes these tables, and a frozen policy picks its rows with one
+fancy index.  For :func:`control_values` the build also stacks the two
+sides of every axis into one row per stencil side, the minus sides
+first: the neighbor gather indices ``_gather``, ``(2N, n)``, and the
+coefficients ``_coef``, ``(2N, n_controls, n)``.  The kernel reads all
+2N neighbor values with one gather and forms every control's stencil
+terms with one difference and one product, so its cost per call is a
+fixed handful of array operations, whatever N and the number of
+controls.
 
 A boundary face whose normal diffusivity survives the clamp would need a
 boundary datum.  :func:`build_grid` and :func:`stencil_report` accept such
@@ -221,13 +225,17 @@ class Grid:
         self.coef_plus = -(self.face[..., 1] * has_plus) / h2 + np.where(
             (updir == 1) & drift_ok, -bt / h, 0.0
         )
-        # per-axis (N, n) gather indices with missing neighbors redirected to
-        # the node itself, so that (u[nbr] - u) vanishes there
-        self._gather_minus = np.where(has_minus, self._nbr[:, :, 0], np.arange(n)[:, None]).T.copy()
-        self._gather_plus = np.where(has_plus, self._nbr[:, :, 1], np.arange(n)[:, None]).T.copy()
-        # per-axis contiguous copies of the coefficients, one (n_controls, n) slab per axis
-        self._axis_coef_minus = np.ascontiguousarray(self.coef_minus.transpose(2, 0, 1))
-        self._axis_coef_plus = np.ascontiguousarray(self.coef_plus.transpose(2, 0, 1))
+        # the kernel's tables, one C-contiguous row per stencil side, the minus
+        # sides first: (2N, n) gather indices with missing neighbors redirected
+        # to the node itself, so that (u[nbr] - u) vanishes there, and the
+        # (2N, n_controls, n) coefficients in the same row order
+        self._gather = np.empty((2 * N, n), dtype=np.int64)
+        self._coef = np.empty((2 * N, C, n))
+        for side, coef in enumerate((self.coef_minus, self.coef_plus)):
+            self._gather[side * N : (side + 1) * N] = self._nbr[:, :, side].T
+            self._coef[side * N : (side + 1) * N] = coef.transpose(2, 0, 1)
+        missing = self._gather < 0
+        self._gather[missing] = np.nonzero(missing)[1]
         # the stencil is fixed from here on: its worst explicit rate, for cfl_dt
         self._max_rate = float(_explicit_rates(self).max())
 
@@ -256,22 +264,23 @@ def build_grid(problem: ControlProblem, h: float) -> Grid:
 def control_values(grid: Grid, u: GridField) -> np.ndarray:
     """Per-control operator values (n_controls, n): A_c u - l_c.
 
-    One broadcast of the per-axis stencil tables over all controls, written
-    purely in neighbor differences so that shifting ``u`` by an exactly
-    representable constant leaves the result bit-identical.  The axis
-    terms are added left to right, ``(m_1 + .. + m_N) + (p_1 + .. + p_N) - l``,
-    in place.
+    One gather of all 2N neighbor values, one difference and one product
+    with the stacked coefficient table, written purely in neighbor
+    differences so that shifting ``u`` by an exactly representable
+    constant leaves the result bit-identical.  The side terms are added
+    left to right, ``(m_1 + .. + m_N) + (p_1 + .. + p_N) - l``, in place.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n,):
         raise ConfigError(f"field has shape {u.shape}, expected ({grid.n},)")
-    cm, cp = grid._axis_coef_minus, grid._axis_coef_plus
-    gm, gp = grid._gather_minus, grid._gather_plus
-    minus = cm[0] * (u[gm[0]] - u)
-    plus = cp[0] * (u[gp[0]] - u)
-    for k in range(1, grid.ndim):
-        minus += cm[k] * (u[gm[k]] - u)
-        plus += cp[k] * (u[gp[k]] - u)
+    N = grid.ndim
+    diffs = u[grid._gather]
+    diffs -= u
+    terms = grid._coef * diffs[:, None]
+    minus, plus = terms[0], terms[N]
+    for k in range(1, N):
+        minus += terms[k]
+        plus += terms[N + k]
     minus += plus
     minus -= grid.l
     return minus

@@ -2,8 +2,10 @@
 
 Outputs are written atomically (temp file + rename) and byte-stable:
 JSON is dumped with sorted keys, floats through repr, CSV with repr
-columns.  A field CSV's coordinate text is formatted once per grid
-(:func:`coordinate_text`), so each snapshot formats only its values.
+columns.  A field CSV's text is formatted once per grid, with an empty
+slot after each row's coordinates (:func:`coordinate_text`); each
+snapshot formats only its values, fills the slots and joins the text
+once (:func:`field_csv`).
 Re-running a command with the same manifest must reproduce
 identical bytes.
 """
@@ -55,26 +57,32 @@ def _csv_rows(columns) -> Iterator[str]:
 
 @dataclass(frozen=True)
 class CoordinateText:
-    """The coordinate part of a field CSV, formatted once per grid: the
-    header line and, per node, its coordinates followed by a comma."""
+    """The text of a field CSV without its values, formatted once per grid:
+    the header, then each node's coordinates followed by an empty slot
+    for the node's value, then the final newline.  The slots are the odd
+    entries of ``parts``."""
 
-    header: str
-    prefixes: tuple[str, ...]
+    parts: tuple[str, ...]
 
 
 def coordinate_text(coords) -> CoordinateText:
     coords = np.atleast_2d(coords)
     header = ",".join(f"x{k + 1}" for k in range(coords.shape[1])) + ",value"
-    prefixes = tuple(row + "," for row in _csv_rows(_repr_column(col) for col in coords.T))
-    return CoordinateText(header, prefixes)
+    heads = [f"\n{row}," for row in _csv_rows(_repr_column(col) for col in coords.T)]
+    heads[0] = header + heads[0]
+    parts = [""] * (2 * len(heads) + 1)
+    parts[::2] = [*heads, "\n"]
+    return CoordinateText(tuple(parts))
 
 
 def field_csv(coords: CoordinateText, values) -> str:
-    """One field as CSV; only the value column is formatted here."""
-    if len(values) != len(coords.prefixes):
+    """One field as CSV: the value of each node fills its slot, and the
+    text is joined once."""
+    if len(values) != len(coords.parts) // 2:
         raise ConfigError("coordinate and value lengths differ")
-    rows = map(str.__add__, coords.prefixes, _repr_column(values))
-    return "\n".join([coords.header, *rows]) + "\n"
+    parts = list(coords.parts)
+    parts[1::2] = _repr_column(values)
+    return "".join(parts)
 
 
 def write_field_csv(path: str, coords: CoordinateText, values) -> None:

@@ -185,15 +185,24 @@ def test_substep_is_fixed_across_windows(monkeypatch, mode, dt):
     # the window [0.2, 0.3] spans 0.30000000000000004 - 0.2, one ulp away from
     # the others: re-deriving the step per window would move it by an ulp
     g = helpers.grid("smoothA", 0.01)
-    name = "step_explicit" if mode == "explicit" else "step_implicit_policy"
     taken = []
+    if mode == "explicit":
+        # march runs each explicit window as one call of count steps
+        original = cauchy._explicit_window
 
-    def record(grid, state, step):
-        taken.append(step)
-        return original(grid, state, step)
+        def record(grid, u, count, step):
+            taken.extend([step] * count)
+            return original(grid, u, count, step)
 
-    original = getattr(cauchy, name)
-    monkeypatch.setattr(cauchy, name, record)
+        monkeypatch.setattr(cauchy, "_explicit_window", record)
+    else:
+        original = cauchy.step_implicit_policy
+
+        def record(grid, state, step):
+            taken.append(step)
+            return original(grid, state, step)
+
+        monkeypatch.setattr(cauchy, "step_implicit_policy", record)
     base = dt if dt is not None else 0.999 * hj.cfl_dt(g)
     per_window = int(np.ceil(0.1 / base - 1e-12))
     meta = {}
@@ -268,6 +277,59 @@ def test_overflowing_explicit_step_is_a_numerical_failure():
     with pytest.raises(NumericalError, match="non-finite value at node 0"):
         for _ in hj.march(g, np.zeros(g.n), 30.0, mode="explicit", snapshot_every=10.0):
             pass
+
+
+def _stepwise_explicit(g, u0, T, every):
+    """The reference of an explicit march: its plan taken one
+    step_explicit at a time, checked after every step, with each snapshot
+    at its target time."""
+    plan = cauchy.plan_march(g, T, "explicit", None, every)
+    state = initial_state(g, u0)
+    yield state
+    for js in range(1, plan.snapshots + 1):
+        count, sub = plan.full if js < plan.snapshots else plan.last
+        for _ in range(count):
+            state = step_explicit(g, state, sub)
+            cauchy._check_finite(g, state.u, state.t)
+        state.t = min(js * plan.every, T)
+        yield state
+
+
+@pytest.mark.parametrize("config,h,T,every", [
+    # a final window of 0.05 after four of 0.1
+    (lambda: helpers.problem("twoControlA"), 0.01, 0.45, 0.1),
+    (lambda: hj.assemble_problem(helpers.disk_config()), 0.1, 0.3, 0.1),
+])
+def test_explicit_windows_equal_stepwise_march(config, h, T, every):
+    # one tight loop per window takes the same steps as step_explicit
+    g = hj.build_grid(config(), h)
+    u0 = np.random.default_rng(21).uniform(-1.0, 1.0, g.n)
+    meta = {}
+    got = list(hj.march(g, u0, T, "explicit", None, every, metadata=meta))
+    want = list(_stepwise_explicit(g, u0, T, every))
+    assert len(got) == len(want) == int(np.ceil(T / every - 1e-9)) + 1
+    for a, b in zip(got, want):
+        assert (a.t, a.step_count) == (b.t, b.step_count)
+        assert np.array_equal(a.u, b.u)
+    assert meta["steps"] == want[-1].step_count
+
+
+@pytest.mark.parametrize("every", [10.0, 1.0])
+def test_overflowing_explicit_window_reports_the_first_bad_step(every):
+    # the window is checked once, at its end, and replayed step by step when
+    # it ends non-finite: the error names the node, x and t of the first bad
+    # step, which falls in the first window (every=10) or the second (every=1)
+    g = hj.build_grid(hj.assemble_problem(helpers.overflowing_config()), 0.1)
+    errors = []
+    for states in (hj.march(g, np.zeros(g.n), 30.0, "explicit", None, every),
+                   _stepwise_explicit(g, np.zeros(g.n), 30.0, every)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite value at node") as err:
+                for _ in states:
+                    pass
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert ", t=" in errors[0]
 
 
 def test_overflowing_howard_solve_is_a_numerical_failure():
@@ -353,6 +415,22 @@ def test_march_refuses_a_step_count_that_overflows():
         next(hj.march(g, np.zeros(g.n), 1.0, "implicit", dt=1e-310))
     plan = cauchy.plan_march(g, 0.55, "implicit", 0.03, 0.1)
     assert (plan.snapshots, plan.full, plan.last[0], plan.dt) == (6, (4, 0.025), 2, 0.03)
+
+
+def test_march_caps_the_snapshot_and_step_counts():
+    # a finite but absurd count is refused before the first state, at the
+    # cap and not below it
+    g = helpers.grid("smoothA", 0.05)
+    snaps, steps = cauchy.MAX_SNAPSHOTS, cauchy.MAX_STEPS
+    assert cauchy.plan_march(g, float(snaps), "implicit", 1.0, 1.0).snapshots == snaps
+    with pytest.raises(ConfigError, match=f"{snaps + 1} snapshots, above the cap of {snaps}"):
+        next(hj.march(g, np.zeros(g.n), float(snaps + 1), "implicit", 1.0, 1.0))
+    assert cauchy.plan_march(g, float(steps), "implicit", 1.0).full[0] == steps
+    with pytest.raises(ConfigError, match=f"{steps + 1} steps, above the cap of {steps}"):
+        next(hj.march(g, np.zeros(g.n), float(steps + 1), "implicit", 1.0))
+    # a long explicit run reaches the step cap through the CFL bound
+    with pytest.raises(ConfigError, match="steps, above the cap"):
+        cauchy.plan_march(g, 1e9 * hj.cfl_dt(g))
 
 
 def _dense(g, matrix):

@@ -388,6 +388,9 @@ def test_envelope_evolutive(tmp_path):
     (("solve", "--T", "1e300", "--snap", "1e-300"), "snapshot count of T=1e+300 every 1e-300"),
     (("solve", "--T", "1", "--mode", "implicit", "--dt", "1e-310"), "step count of a span 1.0"),
     (("converge", "--dt", "1e-310"), "snapshot count of T=500.0 every 1e-310"),
+    # finite counts above the caps would write until the disk fills, or never end
+    (("solve", "--T", "1", "--snap", "1e-300"), "snapshots, above the cap of 1000000"),
+    (("solve", "--T", "1", "--mode", "implicit", "--dt", "1e-10"), "steps, above the cap of 1000000000"),
 ])
 def test_refuses_non_finite_times_vacuous_tolerances_and_idle_flags(tmp_path, command, message):
     out = tmp_path / "never"

@@ -81,19 +81,27 @@ def test_frozen_matrix_rows_are_control_values():
 
 
 def test_control_values_match_per_node_reference():
-    # the broadcast kernel equals, bit for bit, the per-control, per-node
-    # formula (m_1 + m_2) + (p_1 + p_2) - l in neighbor differences
-    g = hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.125)
-    u = np.random.default_rng(13).uniform(-1.0, 1.0, g.n)
-    ref = np.empty((g.n_controls, g.n))
-    for ci in range(g.n_controls):
-        for i in range(g.n):
-            terms = []
-            for side, coef in ((0, g.coef_minus), (1, g.coef_plus)):
-                diffs = [u[j] - u[i] if j >= 0 else 0.0 for j in g._nbr[i, :, side]]
-                terms.append(float(coef[ci, i, 0]) * diffs[0] + float(coef[ci, i, 1]) * diffs[1])
-            ref[ci, i] = terms[0] + terms[1] - float(g.l[ci, i])
-    assert np.array_equal(control_values(g, u), ref)
+    # the one-gather kernel equals, bit for bit, the per-control, per-node
+    # formula (m_1 + .. + m_N) + (p_1 + .. + p_N) - l in neighbor differences,
+    # in 1-D and on the disk, for fields of very different scales
+    grids = [helpers.grid(name, 0.05) for name in helpers.PRESETS]
+    grids.append(hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.125))
+    rng = np.random.default_rng(13)
+    for g in grids:
+        for scale in (1.0, 1e3, 1e-5):
+            u = scale * rng.uniform(-1.0, 1.0, g.n)
+            ref = np.empty((g.n_controls, g.n))
+            for ci in range(g.n_controls):
+                for i in range(g.n):
+                    sides = []
+                    for side, coef in ((0, g.coef_minus), (1, g.coef_plus)):
+                        diffs = [u[j] - u[i] if j >= 0 else 0.0 for j in g._nbr[i, :, side]]
+                        total = float(coef[ci, i, 0]) * diffs[0]
+                        for k in range(1, g.ndim):
+                            total += float(coef[ci, i, k]) * diffs[k]
+                        sides.append(total)
+                    ref[ci, i] = sides[0] + sides[1] - float(g.l[ci, i])
+            assert np.array_equal(control_values(g, u), ref), (g.problem.fingerprint(), scale)
 
 
 def test_cached_coefficients_match_direct_evaluation():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import helpers
+import hjblab as hj
 from hjblab.errors import ConfigError
 from hjblab.iotools import coordinate_text, curves_csv, field_csv
 
@@ -24,14 +26,18 @@ def reference_curves(columns):
 
 def test_field_csv_bytes():
     rng = np.random.default_rng(6)
+    synthetic = []
     for shape in ((999, 1), (7525, 2)):
         coords = rng.uniform(-1.0, 1.0, shape)
         coords[:3, 0] = [0.0, -0.0, 5e-324]
-        # the coordinate text is formatted once and serves every snapshot
+        synthetic.append(coords)
+    disk = hj.build_grid(hj.assemble_problem(helpers.disk_config()), 0.02).x
+    for coords in (*synthetic, disk):
+        # the text is formatted once and its slots serve every snapshot
         text = coordinate_text(coords)
         for _ in range(3):
-            values = rng.normal(size=shape[0]) * 10.0 ** rng.integers(-300, 300, shape[0])
-            values[:4] = [0.0, -0.0, 5e-324, -1.5]
+            values = rng.normal(size=len(coords)) * 10.0 ** rng.integers(-300, 300, len(coords))
+            values[:9] = [0.0, -0.0, 5e-324, -1.5, 1e16, 1e-5, 1e-7, -0.0, 5e-324]
             assert field_csv(text, values) == reference_csv(coords, values)
     text = coordinate_text(np.array([[1], [2]]))
     assert field_csv(text, np.array([3, 4])) == "x1,value\n1.0,3.0\n2.0,4.0\n"
