@@ -33,7 +33,6 @@ from .ergodic import (
     ErgodicPair,
     ErgodicSolverParams,
     normalize_chi,
-    solve_ergodic_longtime,
     solve_ergodic_policy,
     solve_ergodic_rvi,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "march",
     "normalize_chi",
     "run_until_flat",
-    "solve_ergodic_longtime",
     "solve_ergodic_policy",
     "solve_ergodic_rvi",
     "stencil_report",

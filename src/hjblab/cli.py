@@ -27,7 +27,7 @@ from .grid import build_grid, stencil_report
 from .problem import SamplingPlan, assemble_problem, validate_assumptions
 
 DEFAULT_H = 1e-2
-ERGODIC_METHODS = ("policy", "rvi", "longtime")  # ergodic.solve_ergodic_<method>
+ERGODIC_METHODS = ("policy", "rvi")  # ergodic.solve_ergodic_<method>
 
 
 def _load_config(path: str) -> dict:
@@ -81,11 +81,17 @@ def _add_common(sub):
     sub.add_argument("--h", type=float, default=None, help="grid spacing override")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad flag is refused like every bad argument: one line, exit 2
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: a parser is a web of reference cycles, and one
     # per run() call would pile up as cyclic garbage in a long-lived caller
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hjblab",
         description="Discretize, solve and certify boundary-degenerate Bellman problems",
     )
@@ -117,9 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=ERGODIC_METHODS, default="policy",
         help="policy: policy iteration for the average cost (default); "
-             "rvi, longtime: implicit-step cross-checks",
+             "rvi: relative value iteration on implicit steps, stopped by a bracket on c, "
+             "as a cross-check",
     )
-    p.add_argument("--dt", type=float, default=None, help="rvi/longtime step")
+    p.add_argument("--dt", type=float, default=None,
+                   help="rvi step, default 0.05; the policy solver ignores it")
     p.add_argument("--tol", type=float, default=1e-8, help="interior residual tolerance")
 
     p = subs.add_parser("converge", help="long-time convergence diagnostics")

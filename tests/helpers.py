@@ -30,11 +30,6 @@ def rvi_pair(preset: str, h: float, tol: float = 1e-9, dt: float = 0.05) -> hj.E
     return hj.solve_ergodic_rvi(grid(preset, h), hj.ErgodicSolverParams(tolerance=tol, dt=dt))
 
 
-@lru_cache(maxsize=None)
-def longtime_pair(preset: str, h: float, tol: float = 1e-7, dt: float = 0.02) -> hj.ErgodicPair:
-    return hj.solve_ergodic_longtime(grid(preset, h), hj.ErgodicSolverParams(tolerance=tol, dt=dt))
-
-
 def dyadic_field(n: int, seed: int = 0, bits: int = 20) -> np.ndarray:
     """Random field of dyadic rationals: adding a small integer to these
     is exact in IEEE doubles, so translation tests can demand bit equality."""

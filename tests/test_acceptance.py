@@ -85,13 +85,14 @@ def test_criterion_2_a_priori_bound():
 
 def test_criterion_3_trivial_ergodic_pair():
     g = helpers.grid("constantL", 1e-3)
-    rvi = hj.solve_ergodic_rvi(g, hj.ErgodicSolverParams(tolerance=1e-8, dt=0.05))
-    lt = hj.solve_ergodic_longtime(g, hj.ErgodicSolverParams(tolerance=1e-8, dt=0.01))
-    for pair in (rvi, lt):
+    params = hj.ErgodicSolverParams(tolerance=1e-8, dt=0.05)
+    rvi = hj.solve_ergodic_rvi(g, params)
+    policy = hj.solve_ergodic_policy(g, params)
+    for pair in (rvi, policy):
         assert abs(pair.c + 2.0) < 1e-6, pair.method
         assert np.abs(pair.chi).max() <= 1e-6, pair.method
-    _line("3", True, f"constant cost: c_rvi={rvi.c:.2e}+2, c_longtime={lt.c + 2:.2e}+(-2), "
-                     f"sup|chi| <= {max(np.abs(rvi.chi).max(), np.abs(lt.chi).max()):.1e}")
+    _line("3", True, f"constant cost: c_rvi={rvi.c + 2:.2e}+(-2), c_policy={policy.c + 2:.2e}+(-2), "
+                     f"sup|chi| <= {max(np.abs(rvi.chi).max(), np.abs(policy.chi).max()):.1e}")
 
 
 def test_criterion_4_oracle_agreement():
@@ -103,11 +104,11 @@ def test_criterion_4_oracle_agreement():
         g = helpers.grid(name, 1e-3)
         oracle = hj.linear_oracle_c(helpers.problem(name), g)
         rvi = helpers.rvi_pair(name, 1e-3)
-        lt = helpers.longtime_pair(name, 1e-3)
+        policy = hj.solve_ergodic_policy(g)
         assert abs(rvi.c - oracle) < 1e-3, name
-        assert abs(lt.c - oracle) < 1e-3, name
+        assert abs(policy.c - oracle) < 1e-3, name
         details.append(f"{name}: rvi-oracle {abs(rvi.c - oracle):.1e}, "
-                       f"longtime-oracle {abs(lt.c - oracle):.1e}")
+                       f"policy-oracle {abs(policy.c - oracle):.1e}")
     elapsed = time.perf_counter() - start
     ok = elapsed < 300
     _line("4", ok, "; ".join(details) + f", {elapsed:.1f}s")

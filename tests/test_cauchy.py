@@ -256,7 +256,6 @@ def test_solvers_refuse_a_grid_that_needs_boundary_data():
         lambda: howard_solve(g, u0, 0.05),
         lambda: hj.solve_ergodic_policy(g),
         lambda: hj.solve_ergodic_rvi(g),
-        lambda: hj.solve_ergodic_longtime(g),
     )
     for solve in solvers:
         with pytest.raises(NumericalError, match=message):
@@ -333,7 +332,7 @@ def test_overflowing_explicit_window_reports_the_first_bad_step(every):
 
 
 def test_overflowing_howard_solve_is_a_numerical_failure():
-    # howard_solve also runs outside march (the longtime ergodic method)
+    # howard_solve checks its own result, not only through march
     g = hj.build_grid(hj.assemble_problem(helpers.overflowing_config()), 0.01)
     with pytest.raises(NumericalError, match="non-finite value at node 0"):
         howard_solve(g, np.zeros(g.n), 10.0)

@@ -316,14 +316,6 @@ def test_validate_overflowing_literal_exits_two(tmp_path):
     assert not out.exists()
 
 
-def test_ergodic_longtime_cli(tmp_path):
-    out = tmp_path / "e"
-    res = run_cli("ergodic", preset_path("constantL"), "--method", "longtime",
-                  "--h", "0.01", "--tol", "1e-7", "--out", str(out))
-    assert res.returncode == 0, res.stderr
-    assert abs(json.loads((out / "ergodic.json").read_text())["c"] + 2.0) < 1e-6
-
-
 def test_converge_smoke(tmp_path):
     out = tmp_path / "k"
     res = run_cli("converge", preset_path("smoothA"), "--h", "0.01", "--u0", "zero",
@@ -391,6 +383,8 @@ def test_envelope_evolutive(tmp_path):
     # finite counts above the caps would write until the disk fills, or never end
     (("solve", "--T", "1", "--snap", "1e-300"), "snapshots, above the cap of 1000000"),
     (("solve", "--T", "1", "--mode", "implicit", "--dt", "1e-10"), "steps, above the cap of 1000000000"),
+    # a method that is not offered
+    (("ergodic", "--method", "longtime"), "argument --method: invalid choice: 'longtime'"),
 ])
 def test_refuses_non_finite_times_vacuous_tolerances_and_idle_flags(tmp_path, command, message):
     out = tmp_path / "never"

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 import helpers
 import hjblab as hj
+from hjblab import ergodic
 from hjblab.errors import ConfigError, NumericalError
 from hjblab.grid import apply_H
 
@@ -83,12 +86,6 @@ def test_constant_cost_rvi():
     assert pair.method == "rvi"
 
 
-def test_constant_cost_longtime():
-    pair = hj.solve_ergodic_longtime(helpers.grid("constantL", 0.01))
-    assert pair.c == pytest.approx(-2.0, abs=1e-9)
-    assert np.abs(pair.chi).max() <= 1e-9
-
-
 def test_normalize():
     assert np.array_equal(hj.normalize_chi(np.full(5, 4.0)), np.zeros(5))
     already = np.array([-1.0, -0.5, 0.0])
@@ -97,15 +94,6 @@ def test_normalize():
     g = helpers.grid("smoothA", 0.05)
     shifted = hj.normalize_chi(-np.sqrt(g.d))
     assert shifted.max() == 0.0
-
-
-def test_methods_agree_smooth():
-    h = 0.004
-    rvi = helpers.rvi_pair("smoothA", h)
-    lt = helpers.longtime_pair("smoothA", h)
-    assert abs(rvi.c - lt.c) < 1e-6
-    assert np.abs(rvi.chi - lt.chi).max() < 1e-4
-    assert rvi.c == pytest.approx(-0.5, abs=1e-3)  # symmetric invariant density
 
 
 def test_residual_contract():
@@ -147,10 +135,41 @@ def test_chi_sup_stable_under_refinement():
     assert abs(a - b) / b < 0.05
 
 
-def test_iteration_budget_error():
+@pytest.mark.parametrize("name", [*helpers.PRESETS, "disk"])
+@pytest.mark.parametrize("tol", [1e-8, 1e-9])
+def test_rvi_bracket_bounds_residual_and_c(name, tol):
+    # the midpoint of a bracket narrower than tol is within tol/2 of c, and
+    # H[u_k] = -delta_k puts the residual of the last field within tol/2
+    g = _disk_grid() if name == "disk" else helpers.grid(name, 0.004)
+    rvi = hj.solve_ergodic_rvi(g, hj.ErgodicSolverParams(tolerance=tol))
+    policy = hj.solve_ergodic_policy(g, hj.ErgodicSolverParams(tolerance=tol))
+    assert rvi.residual <= tol / 2
+    assert rvi.boundary_residual <= tol / 2
+    assert abs(rvi.c - policy.c) <= tol / 2
+
+
+def test_rvi_stalled_bracket_raises():
+    # the bracket bottoms out at about 1e-14 in window 19; a tolerance below
+    # every width the run reaches ends only by the stall rule
     g = helpers.grid("smoothA", 0.01)
-    with pytest.raises(NumericalError):
-        hj.solve_ergodic_rvi(g, hj.ErgodicSolverParams(tolerance=1e-14, max_iterations=3))
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match=r"stopped narrowing at width \d\.\d{3}e-14 in window"):
+        hj.solve_ergodic_rvi(g, hj.ErgodicSolverParams(tolerance=1e-15))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rvi_window_cap_raises(monkeypatch):
+    monkeypatch.setattr(ergodic, "MAX_WINDOWS", 2)
+    with pytest.raises(NumericalError, match="wide after 2 windows"):
+        hj.solve_ergodic_rvi(helpers.grid("smoothA", 0.01))
+
+
+def test_rvi_without_a_unique_constant_raises():
+    # no drift and no diffusion: every node keeps its own rate -l, so the
+    # bracket never narrows
+    g = hj.build_grid(hj.assemble_problem(helpers.flat_config()), 0.1)
+    with pytest.raises(NumericalError, match="stopped narrowing at width 8.000e-01 in window"):
+        hj.solve_ergodic_rvi(g)
 
 
 def test_params_validation():
