@@ -267,9 +267,11 @@ def _dispatch(args, config: dict, problem) -> int:
 
     if args.command == "ergodic":
         pair = _ergodic_pair(grid, args.method, args.tol, args.dt)
+        # rvi records the step it took; the policy solver takes none and records the flag
+        dt = ergodic.RVI_DT if args.method == "rvi" and args.dt is None else args.dt
         manifest = _manifest(
             args, config,
-            {"h": h, "method": args.method, "tol": args.tol, "dt": args.dt,
+            {"h": h, "method": args.method, "tol": args.tol, "dt": dt,
              "outputs": ["ergodic.json", "chi.csv"]},
         )
         iotools.write_json(os.path.join(out, "manifest.json"), manifest)

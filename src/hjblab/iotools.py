@@ -2,7 +2,12 @@
 
 Outputs are written atomically (temp file + rename) and byte-stable:
 JSON is dumped with sorted keys, floats through repr, CSV with repr
-columns.  A field CSV's text is formatted once per grid, with an empty
+columns.  A CSV column is formatted in one call (:func:`_repr_column`):
+orjson writes Ryu's shortest round-trip digits for the cells that repr
+prints in fixed notation (0 and 1e-4 <= |v| < 1e16, a range exact at
+the double level), and every other cell, non-finite ones included, is
+formatted by repr itself, so each cell's bytes are repr's for every
+double.  A field CSV's text is formatted once per grid, with an empty
 slot after each row's coordinates (:func:`coordinate_text`); each
 snapshot formats only its values, fills the slots and joins the text
 once (:func:`field_csv`).
@@ -46,9 +51,31 @@ def write_json(path: str, obj) -> None:
     atomic_write_text(path, dump_json(obj))
 
 
-def _repr_column(values) -> Iterator[str]:
-    """repr of each entry as a Python float: the bytes of repr(float(v)) per cell."""
-    return map(repr, np.asarray(values, dtype=float).tolist())
+def _repr_column(values) -> list[str]:
+    """The bytes of ``repr(float(v))`` for each entry ``v``, for every double.
+
+    One ``orjson`` call formats the whole column with Ryu's shortest
+    round-trip digits, the digits ``repr`` prints.  Both print those
+    digits in fixed notation for 0.0, -0.0 and 1e-4 <= |v| < 1e16, so
+    there the texts agree.  The range is exact at the double level, with
+    1e-4 read as the double nearest it: a decimal at or above 1e-4 rounds
+    to at least that double, so every double below it has shortest digits
+    below 1e-4, and that double's own digits are ``1e-4``; 1e16 is a
+    double, and the same argument holds there.  Every other cell
+    (non-finite, smaller or larger) is overwritten with ``repr``, where
+    orjson would write ``null``, ``0.00001`` or ``1e16``.
+    """
+    import orjson  # here, not at module level: validate and certify never format a column
+
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if not v.size:
+        return []
+    cells = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(v)
+    fallback = np.flatnonzero(~(((magnitude >= 1e-4) & (magnitude < 1e16)) | (v == 0)))
+    for i, x in zip(fallback.tolist(), v[fallback].tolist()):
+        cells[i] = repr(x)
+    return cells
 
 
 def _csv_rows(columns) -> Iterator[str]:

@@ -81,18 +81,22 @@ def test_solve_off_diagonal_diffusion_exits_two(tmp_path):
     assert not out.exists()
 
 
-def test_validate_and_certify_leave_scipy_unloaded(tmp_path):
+def test_import_validate_and_certify_leave_scipy_and_orjson_unloaded(tmp_path):
+    # both are imported where they are first used, which keeps them out of
+    # the start-up of every command and out of the commands that never use them
+    lazy = "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson'))"
     script = (
         "import sys\n"
         "from hjblab.cli import run\n"
+        f"print({lazy})\n"
         f"assert run(['validate', {preset_path('smoothA')!r}, '--out', {str(tmp_path / 'v')!r}]) == 0\n"
         f"assert run(['certify', {preset_path('smoothA')!r}, '--family', 'lyapunov', '--param', '1',"
         f" '--M', '10', '--out', {str(tmp_path / 'c')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print({lazy})\n"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[]"
+    assert res.stdout.splitlines()[0] == res.stdout.splitlines()[-1] == "[]"
 
 
 def test_bad_flag_exits_two():
@@ -178,11 +182,21 @@ def test_ergodic_constant(tmp_path):
     assert blob["chi_sup"] < 1e-9
 
 
+def test_ergodic_manifest_records_the_rvi_step(tmp_path):
+    for flags, dt in (((), hj.ergodic.RVI_DT), (("--dt", "0.1"), 0.1)):
+        out = tmp_path / f"e{len(flags)}"
+        res = run_cli("ergodic", preset_path("constantL"), "--method", "rvi",
+                      "--h", "0.01", *flags, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert json.loads((out / "manifest.json").read_text())["dt"] == dt
+
+
 def test_ergodic_default_method_is_policy(tmp_path):
     out = tmp_path / "e"
     res = run_cli("ergodic", preset_path("smoothA"), "--h", "0.004", "--out", str(out))
     assert res.returncode == 0, res.stderr
-    assert json.loads((out / "manifest.json").read_text())["method"] == "policy"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["method"] == "policy" and manifest["dt"] is None
     blob = json.loads((out / "ergodic.json").read_text())
     assert blob["method"] == "policy"
     assert abs(blob["c"] + 0.5) < 1e-9 and blob["residual"] <= 1e-10
