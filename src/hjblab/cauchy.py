@@ -42,24 +42,32 @@ step and the ergodic policy solver, whose pinned generator is a frozen
 matrix too.  In 1-D the factor is LAPACK's tridiagonal LU with partial
 pivoting (``dgttrf``, solved by ``dgttrs``), the elimination that
 ``scipy.linalg.solve_banded`` would repeat at each solve.  In 2-D it is
-``scipy.sparse.linalg.splu`` of the CSC matrix in multiple minimum
-degree order on ``A + A^T`` (Liu, ACM TOMS 11, 1985), without pivoting
-(``SPLU_OPTIONS``): a frozen operator is an M-matrix, whose LU in any
-symmetric order is stable without pivoting (Berman-Plemmons,
-*Nonnegative Matrices in the Mathematical Sciences*, ch. 6).  Only a
-node where an outward drift is discretized one-sided inward
-(``Grid.forced``, which validation rules out) may put a positive
-off-diagonal entry in its row.  On the benchmark's disk at h = 0.02 this
-factor holds 277,418 entries in L + U, where COLAMD with partial
-pivoting held 494,616, and the 2-D outputs moved by ulps against that
-pivoted factor.  Each grid caches its last factor in a one-entry cache
-keyed on ``(policy.tobytes(), scale, shift, pin)``, with the exact
-float ``scale`` (dt for a step): a fixed dt and an unchanged policy, as
-in every step of a single-control problem, cost one factorization for
-the whole run, and a step that differs by one ulp is a different matrix
-and is factored afresh.  A singular operator raises :class:`NumericalError`
-when it is factored.  scipy is imported at the first solve, so the
-commands that never solve (validate, certify) skip its import.
+SuperLU's ``gstrf``, called as ``scipy.sparse.linalg.splu`` calls it, on
+the CSC arrays in multiple minimum degree order on ``A + A^T`` (Liu, ACM
+TOMS 11, 1985), without pivoting (``SUPERLU_OPTIONS``): a frozen
+operator is an M-matrix, whose LU in any symmetric order is stable
+without pivoting (Berman-Plemmons, *Nonnegative Matrices in the
+Mathematical Sciences*, ch. 6).  Only a node where an outward drift is
+discretized one-sided inward (``Grid.forced``, which validation rules
+out) may put a positive off-diagonal entry in its row.  On the
+benchmark's disk at h = 0.02 this factor holds 277,418 entries in L + U,
+where COLAMD with partial pivoting held 494,616, and the 2-D outputs
+moved by ulps against that pivoted factor.  Each grid caches its last
+factor in a one-entry cache keyed on ``(policy.tobytes(), scale, shift,
+pin)``, with the exact float ``scale`` (dt for a step): a fixed dt and an
+unchanged policy, as in every step of a single-control problem, cost one
+factorization for the whole run, and a step that differs by one ulp is a
+different matrix and is factored afresh.  A singular operator raises
+:class:`NumericalError` when it is factored.
+
+Both routines live in compiled scipy modules, ``FLAPACK`` and
+``SUPERLU``, which the first solve loads from their files
+(:func:`_load_compiled`) without importing ``scipy.linalg``,
+``scipy.sparse`` or ``scipy.sparse.linalg``: those packages cost a cold
+process about 0.4 s and 20-25 MB to reach two routines.  A later public
+import in the same process reuses the loaded modules, so
+``scipy.linalg.lapack.dgttrf`` is the routine the 1-D factor calls, and
+the commands that never solve (validate, certify) load neither.
 
 Every evolution enforces the a-priori bound
 ``sup |u(t)| <= sup |u0| + sup |l| * t`` at snapshot times.
@@ -67,6 +75,10 @@ Every evolution enforces the a-priori bound
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,11 +89,18 @@ from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField, apply_H, cfl_dt, control_values, require_no_boundary_data
 
 BOUND_RTOL = 1e-9
-# splu of a 2-D frozen operator: fill-reducing symmetric order, diagonal pivots
-SPLU_OPTIONS = {
-    "permc_spec": "MMD_AT_PLUS_A",
-    "diag_pivot_thresh": 0.0,
-    "options": {"SymmetricMode": True},
+# the compiled scipy modules of the 1-D and the 2-D factor
+FLAPACK = "scipy.linalg._flapack"
+SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+# gstrf of a 2-D frozen operator: fill-reducing symmetric order, diagonal
+# pivots; exactly the options splu(permc_spec="MMD_AT_PLUS_A",
+# diag_pivot_thresh=0.0, options={"SymmetricMode": True}) passes
+SUPERLU_OPTIONS = {
+    "DiagPivotThresh": 0.0,
+    "ColPerm": "MMD_AT_PLUS_A",
+    "PanelSize": None,
+    "Relax": None,
+    "SymmetricMode": True,
 }
 # the most snapshots and steps one march may plan: far above any run the
 # tools make (the benchmark's largest has 501 snapshots and 31,300 steps)
@@ -137,6 +156,51 @@ def step_explicit(grid: Grid, state: CauchyState, dt: float) -> CauchyState:
     return CauchyState(state.t + dt, u, state.u0_sup, state.l_sup, state.step_count + 1)
 
 
+def _load_compiled(name: str):
+    """The compiled scipy module ``name`` (a dotted name under ``scipy``),
+    loaded from its extension file without running the ``__init__`` of
+    ``scipy`` or of the packages that hold it, and registered in
+    ``sys.modules`` under ``name``.  A module already there, loaded this
+    way or by a public import, is returned as it is, so each loads once
+    per process.  A module that is not where the name says raises
+    :class:`ImportError` naming it, the directory searched and the
+    installed scipy version.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    *packages, stem = name.split(".")
+    root = importlib.util.find_spec(packages[0]).submodule_search_locations[0]
+    directory = os.path.join(root, *packages[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, stem + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        from importlib.metadata import version
+
+        raise ImportError(
+            f"no compiled module {name} in {directory} (scipy {version(packages[0])})"
+        )
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+class CscMatrix(NamedTuple):
+    """A square matrix of order ``n`` in compressed sparse column form:
+    column j holds rows ``indices[indptr[j]:indptr[j + 1]]``, ascending,
+    with values ``data[indptr[j]:indptr[j + 1]]``.  This is the canonical
+    form that scipy.sparse reaches after ``sum_duplicates``, the layout
+    ``splu`` hands to SuperLU, entries of value zero included."""
+
+    data: np.ndarray
+    indices: np.ndarray  # intc
+    indptr: np.ndarray  # intc
+    n: int
+
+
 def frozen_matrix(
     grid: Grid,
     policy: np.ndarray,
@@ -153,7 +217,10 @@ def frozen_matrix(
     (n_controls, n, N) at ``[policy[i], i]``, one fancy index for all
     rows.  With ``pin`` the row of that node becomes the identity row.
     Returned as the (3, n) band of ``scipy.linalg.solve_banded`` in 1-D
-    and in 2-D as CSC, the format ``splu`` factors without a copy.
+    and in 2-D as a :class:`CscMatrix`, built in numpy.  Its pattern is
+    the grid's: the diagonal and every in-grid neighbour, whatever the
+    policy and whatever the value, so a zero coefficient stays an entry
+    and the fill-reducing order depends on the grid alone.
     """
     n = grid.n
     rows = np.arange(n)
@@ -169,7 +236,6 @@ def frozen_matrix(
         ab[0, 1:] = scale * cp[:-1, 0]
         ab[2, :-1] = scale * cm[1:, 0]
         return ab
-    import scipy.sparse
     entries_r = [rows]
     entries_c = [rows]
     entries_v = [diag]
@@ -180,29 +246,40 @@ def frozen_matrix(
             entries_r.append(rows[mask])
             entries_c.append(nbr[mask])
             entries_v.append(scale * coef[mask])
-    return scipy.sparse.csc_matrix(
-        (np.concatenate(entries_v), (np.concatenate(entries_r), np.concatenate(entries_c))),
-        shape=(n, n),
-    )
+    r, c = np.concatenate(entries_r), np.concatenate(entries_c)
+    # the neighbours of a node are distinct lattice points, so no (r, c)
+    # repeats and sorting on c * n + r orders columns, then rows in each
+    order = np.argsort(c * n + r)
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(c, minlength=n), out=indptr[1:])
+    return CscMatrix(np.concatenate(entries_v)[order], r[order].astype(np.intc), indptr, n)
 
 
 class _BandFactor:
     """A 1-D frozen operator factored once by LAPACK's tridiagonal LU with
-    partial pivoting (``dgttrf``); each solve is the two triangular sweeps
-    of ``dgttrs``.  These are the pivots and operations of the ``gtsv``
-    behind ``scipy.linalg.solve_banded``, so the solutions are the same bits.
-    A singular band (``info > 0``) raises :class:`NumericalError` here."""
+    partial pivoting (``dgttrf`` of ``FLAPACK``); each solve is the two
+    triangular sweeps of ``dgttrs``.  These are the pivots and operations
+    of the ``gtsv`` behind ``scipy.linalg.solve_banded``, so the solutions
+    are the same bits.  A singular band (``info > 0``) raises
+    :class:`NumericalError` here."""
 
     def __init__(self, band: np.ndarray):
-        from scipy.linalg import lapack
-
-        *self._lu, info = lapack.dgttrf(band[2, :-1], band[1], band[0, 1:])
+        flapack = _load_compiled(FLAPACK)
+        *self._lu, info = flapack.dgttrf(band[2, :-1], band[1], band[0, 1:])
         if info > 0:
             raise NumericalError("the frozen-policy operator is singular")
-        self._dgttrs = lapack.dgttrs
+        self._dgttrs = flapack.dgttrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._dgttrs(*self._lu, rhs)[0]
+
+
+def _csc_array(*args):
+    """The ``.L`` and ``.U`` of a 2-D factor, built only when one is read:
+    scipy.sparse is imported then, and never by a solve."""
+    from scipy.sparse import csc_array
+
+    return csc_array(*args)
 
 
 def frozen_factor(
@@ -221,14 +298,18 @@ def frozen_factor(
     replaces it and adds one to ``grid.factorizations``.  A singular
     operator raises :class:`NumericalError` when it is factored.
 
-    In 2-D the factor is ``splu`` with ``SPLU_OPTIONS``: rows and columns
-    in one multiple minimum degree order on ``A + A^T``, every pivot on
-    the diagonal.  No pivoting is needed: the matrix is an M-matrix,
-    diagonally dominant by rows (row sums ``shift >= 0``, the pinned row
-    an identity row), any symmetric permutation of it is one too, and
-    elimination keeps every Schur complement so, with positive pivots and
-    element growth at most 2.  SuperLU still reports a column whose pivot
-    vanishes, so a singular operator is still refused here.
+    In 2-D the factor is SuperLU's ``gstrf`` of the CSC arrays with
+    ``SUPERLU_OPTIONS``, the call and the options of
+    ``scipy.sparse.linalg.splu`` with ``permc_spec="MMD_AT_PLUS_A"``,
+    ``diag_pivot_thresh=0.0`` and ``SymmetricMode``, so the factor has
+    the same bits: rows and columns in one multiple minimum degree order
+    on ``A + A^T``, every pivot on the diagonal.  No pivoting is needed:
+    the matrix is an M-matrix, diagonally dominant by rows (row sums
+    ``shift >= 0``, the pinned row an identity row), any symmetric
+    permutation of it is one too, and elimination keeps every Schur
+    complement so, with positive pivots and element growth at most 2.
+    SuperLU still reports a column whose pivot vanishes, so a singular
+    operator is still refused here.
     """
     key = (policy.tobytes(), scale, shift, pin)
     if grid._frozen is not None and grid._frozen[0] == key:
@@ -237,10 +318,12 @@ def frozen_factor(
     if grid.ndim == 1:
         factor = _BandFactor(matrix)
     else:
-        import scipy.sparse.linalg
-
+        superlu = _load_compiled(SUPERLU)
         try:
-            factor = scipy.sparse.linalg.splu(matrix, **SPLU_OPTIONS)
+            factor = superlu.gstrf(
+                matrix.n, len(matrix.data), matrix.data, matrix.indices, matrix.indptr,
+                csc_construct_func=_csc_array, ilu=False, options=SUPERLU_OPTIONS,
+            )
         except RuntimeError:  # "Factor is exactly singular"
             raise NumericalError("the frozen-policy operator is singular") from None
     grid._frozen = (key, factor)

@@ -40,8 +40,8 @@ whose one-entry cache on the grid is keyed on
 implicit steps of RVI reuse one factorization for as long as dt and the
 policy stay the same.  A singular frozen operator (some node never
 reaches the anchor) raises :class:`NumericalError` when it is factored,
-from ``splu`` in 2-D and from LAPACK's ``dgttrf`` in 1-D.  Every solver
-refuses a grid whose stencil needs boundary data
+from SuperLU's ``gstrf`` in 2-D and from LAPACK's ``dgttrf`` in 1-D.
+Every solver refuses a grid whose stencil needs boundary data
 (:func:`hjblab.grid.require_no_boundary_data`).
 
 Every solver reports the residual ``sup |H[chi] - c|`` over nodes with

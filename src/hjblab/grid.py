@@ -364,13 +364,14 @@ class StencilReport:
 
 def _row_sums(grid: Grid, matrix) -> np.ndarray:
     """Row sums of a :func:`hjblab.cauchy.frozen_matrix`: in 1-D the
-    diagonal plus the off-diagonal sum of the band, in 2-D the sparse rows."""
+    diagonal plus the off-diagonal sum of the band, in 2-D the CSC entries
+    summed by row, in column order, as a CSC product with ones adds them."""
     if grid.ndim == 1:
         off = np.zeros(grid.n)
         off[:-1] = matrix[0, 1:]
         off[1:] += matrix[2, :-1]
         return matrix[1] + off
-    return matrix @ np.ones(grid.n)
+    return np.bincount(matrix.indices, weights=matrix.data, minlength=grid.n)
 
 
 def stencil_report(grid: Grid, include_nodes: bool = False) -> StencilReport:

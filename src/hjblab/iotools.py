@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -30,9 +29,16 @@ from .errors import ConfigError
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write ``text`` to a temp file next to ``path`` and rename it over
+    ``path``, so a reader sees the old file or the whole new one.  The temp
+    file is created with mode 0o666 less the umask, the mode ``open``
+    gives a new file; ``tempfile.mkstemp`` would give 0o600.  Its name
+    holds the process id, so two processes writing one path do not share
+    it."""
+    directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{name}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

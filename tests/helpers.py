@@ -76,3 +76,21 @@ def two_control_disk_config() -> dict:
     cfg = disk_config()
     cfg["controls"].append({"b": ["-x2", "x1"], "sigma": [["d", "0"], ["0", "0.5*d"]], "l": "1+x2"})
     return cfg
+
+
+def validated_two_control_disk_config() -> dict:
+    """:func:`disk_config` plus a contracting control with anisotropic
+    diffusion: it passes validation, and at h = 0.05 and 0.02 it has no
+    positive coefficient and no forced node, while its Howard policy is
+    not constant."""
+    cfg = disk_config()
+    cfg["controls"].append({"b": ["-2*x1", "-0.5*x2"], "sigma": [["d", "0"], ["0", "0.5*d"]], "l": "1+x2"})
+    return cfg
+
+
+def scipy_csc(matrix):
+    """A 2-D :func:`hjblab.cauchy.frozen_matrix` as the scipy.sparse matrix
+    of the same CSC arrays, for the public routes that tests compare with."""
+    import scipy.sparse
+
+    return scipy.sparse.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=(matrix.n,) * 2)

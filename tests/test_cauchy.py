@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -434,7 +436,7 @@ def test_march_caps_the_snapshot_and_step_counts():
 
 def _dense(g, matrix):
     if g.ndim == 2:
-        return matrix.toarray()
+        return helpers.scipy_csc(matrix).toarray()
     return np.diag(matrix[1]) + np.diag(matrix[0, 1:], 1) + np.diag(matrix[2, :-1], -1)
 
 
@@ -468,8 +470,79 @@ def test_disk_factor_matches_spsolve():
     rhs = rng.uniform(-1.0, 1.0, g.n)
     for scale, shift, pin in ((0.05, 1.0, None), (1.0, 0.0, g.n // 2)):
         got = frozen_factor(g, policy, scale, shift, pin).solve(rhs)
-        want = scipy.sparse.linalg.spsolve(frozen_matrix(g, policy, scale, shift, pin), rhs)
+        matrix = helpers.scipy_csc(frozen_matrix(g, policy, scale, shift, pin))
+        want = scipy.sparse.linalg.spsolve(matrix, rhs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (scale, shift, pin)
+
+
+def _disk_grids():
+    # the benchmark's disk, the validated two-control disk and, for a
+    # pattern with positive coefficients, the two-control disk that fails
+    # validation
+    return [
+        hj.build_grid(hj.assemble_problem(helpers.disk_config()), 0.05),
+        hj.build_grid(hj.assemble_problem(helpers.validated_two_control_disk_config()), 0.05),
+        hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.1),
+    ]
+
+
+def test_csc_arrays_are_scipy_canonical_form():
+    # entry for entry the arrays of csc_matrix((v, (r, c))) after
+    # sum_duplicates, built from the stencil entries in scattered order:
+    # columns and the rows in each ascending, zero coefficients kept
+    import scipy.sparse
+
+    rng = np.random.default_rng(16)
+    for g in _disk_grids():
+        rows = np.arange(g.n)
+        for scale, shift, pin in ((0.05, 1.0, None), (1.0, 0.0, g.n // 2)):
+            policy = rng.integers(0, g.n_controls, g.n)
+            dense = _dense(g, frozen_matrix(g, policy, scale, shift, pin))
+            has = g._nbr >= 0
+            r = np.concatenate([rows, np.repeat(rows, has.sum(axis=(1, 2)))])
+            c = np.concatenate([rows, g._nbr[has]])
+            perm = rng.permutation(len(r))
+            reference = scipy.sparse.csc_matrix((dense[r, c][perm], (r[perm], c[perm])), shape=(g.n, g.n))
+            reference.sum_duplicates()
+            got = frozen_matrix(g, policy, scale, shift, pin)
+            assert got.n == g.n
+            assert got.indices.dtype == got.indptr.dtype == np.intc
+            assert np.array_equal(got.indptr, reference.indptr)
+            assert np.array_equal(got.indices, reference.indices)
+            assert np.array_equal(got.data, reference.data)
+            assert len(got.data) == len(r)  # every neighbour an entry, none repeated
+
+
+def test_disk_factor_solves_as_splu():
+    # gstrf with SUPERLU_OPTIONS is splu with the same settings, bit for bit
+    import scipy.sparse.linalg
+
+    rng = np.random.default_rng(17)
+    for g in _disk_grids()[:2]:
+        rhs = rng.uniform(-1.0, 1.0, (g.n, 2))
+        for scale, shift, pin in ((0.05, 1.0, None), (10.0, 1.0, None), (1.0, 0.0, g.n // 2)):
+            policy = rng.integers(0, g.n_controls, g.n)
+            got = frozen_factor(g, policy, scale, shift, pin)
+            public = scipy.sparse.linalg.splu(
+                helpers.scipy_csc(frozen_matrix(g, policy, scale, shift, pin)),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+            assert np.array_equal(got.solve(rhs), public.solve(rhs)), (g.n, scale, pin)
+            assert np.array_equal(got.solve(rhs[:, 0]), public.solve(rhs[:, 0])), (g.n, scale, pin)
+            assert np.array_equal(got.perm_c, public.perm_c)
+
+
+def test_missing_compiled_module_is_named():
+    import importlib.metadata
+
+    with pytest.raises(ImportError) as err:
+        cauchy._load_compiled("scipy.linalg._no_such_module")
+    message = str(err.value)
+    assert "scipy.linalg._no_such_module" in message
+    assert os.path.join("scipy", "linalg") in message
+    assert f"scipy {importlib.metadata.version('scipy')}" in message
 
 
 def test_disk_factor_is_fill_reducing():

@@ -99,6 +99,52 @@ def test_import_validate_and_certify_leave_scipy_and_orjson_unloaded(tmp_path):
     assert res.stdout.splitlines()[0] == res.stdout.splitlines()[-1] == "[]"
 
 
+def test_solving_loads_no_public_scipy_package(tmp_path):
+    # the solvers load scipy's two compiled modules alone: neither scipy's
+    # own __init__ nor scipy.linalg, scipy.sparse or scipy.sparse.linalg runs
+    smooth = preset_path("smoothA")
+    disk = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "disk.json")
+    runs = [
+        ["ergodic", smooth, "--h", "0.01", "--out", str(tmp_path / "e1")],
+        ["ergodic", disk, "--h", "0.1", "--out", str(tmp_path / "e2")],
+        ["solve", smooth, "--h", "0.01", "--mode", "implicit", "--dt", "0.05", "--T", "0.2",
+         "--out", str(tmp_path / "s")],
+    ]
+    script = (
+        "import sys\n"
+        "from hjblab.cli import run\n"
+        f"assert all(run(argv) == 0 for argv in {runs!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = res.stdout.splitlines()[-1]
+    assert loaded == str(sorted(["scipy.linalg._flapack", "scipy.sparse.linalg._dsolve._superlu"]))
+
+
+def test_public_scipy_import_reuses_the_loaded_modules():
+    # after a direct load, the public packages import on top of the same
+    # compiled modules, and splu still works
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import hjblab as hj\n"
+        "from hjblab.cauchy import FLAPACK, SUPERLU, frozen_factor\n"
+        f"for cfg in ({{'preset': 'smoothA'}}, {helpers.disk_config()!r}):\n"
+        "    g = hj.build_grid(hj.assemble_problem(cfg), 0.1)\n"
+        "    frozen_factor(g, np.zeros(g.n, dtype=np.int64), 0.05, 1.0).solve(np.ones(g.n))\n"
+        "assert sorted(m for m in sys.modules if m.startswith('scipy')) == [FLAPACK, SUPERLU]\n"
+        "import scipy.linalg, scipy.sparse, scipy.sparse.linalg\n"
+        "assert scipy.linalg.lapack.dgttrf is sys.modules[FLAPACK].dgttrf\n"
+        "from scipy.sparse.linalg._dsolve import linsolve\n"
+        "assert linsolve._superlu is sys.modules[SUPERLU]\n"
+        "lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]])))\n"
+        "assert np.allclose(lu.solve(np.array([3.0, 4.0])), [1.0, 1.0])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_bad_flag_exits_two():
     res = run_cli("certify", preset_path("smoothA"))
     assert res.returncode == 2

@@ -56,7 +56,7 @@ def test_disk_neighbors_match_brute_force():
 
 def _dense(grid, matrix):
     if grid.ndim == 2:
-        return matrix.toarray()
+        return helpers.scipy_csc(matrix).toarray()
     i = np.arange(grid.n - 1)
     dense = np.diag(matrix[1])
     dense[i, i + 1] = matrix[0, 1:]

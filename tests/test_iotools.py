@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import helpers
 import hjblab as hj
 from hjblab.errors import ConfigError
-from hjblab.iotools import _repr_column, coordinate_text, curves_csv, field_csv
+from hjblab.iotools import _repr_column, atomic_write_text, coordinate_text, curves_csv, field_csv
 
 # the powers of ten from 1e-4 to 1e16, each the double nearest it
 POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-4, 17)])
@@ -120,3 +122,18 @@ def test_repr_column_empty_and_strided():
     for column in coords.T:
         assert not column.flags.c_contiguous
         assert_repr_bytes(column)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
+    # as a plain open() would create it; the temp file is renamed away
+    path = tmp_path / "out" / "chi.csv"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(path), "x\n")
+        atomic_write_text(str(path), "y\n")  # replacing a file gives the same mode
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == mode
+    assert path.read_text() == "y\n"
+    assert os.listdir(path.parent) == ["chi.csv"]
