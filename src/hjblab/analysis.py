@@ -177,13 +177,13 @@ def _side_profile(grid: Grid, chi: GridField, side: str):
     if side == "radial":
         order = np.argsort(grid.d)
         return grid.d[order], chi[order]
+    if side not in ("left", "right"):
+        raise ConfigError(f"unknown side {side!r}")
     if grid.ndim != 1:
         raise ConfigError("left/right sides exist only on interval domains")
     dom = grid.domain
     mid = 0.5 * (dom.x_lo + dom.x_hi)
     mask = grid.x[:, 0] < mid if side == "left" else grid.x[:, 0] > mid
-    if side not in ("left", "right"):
-        raise ConfigError(f"unknown side {side!r}")
     d = grid.d[mask]
     v = chi[mask]
     order = np.argsort(d)

@@ -36,7 +36,9 @@ at a time, checked after each step, which raises the same error, with
 the node, x and time of the first non-finite step, that a stepwise
 march would.
 
-:func:`frozen_matrix` builds the frozen-control matrix, and
+The frozen-control matrix, :func:`hjblab.grid.frozen_matrix`, is
+assembled beside the stencil tables it reads (in 2-D through the CSC
+pattern the grid builds once); this module only factors it, and
 :func:`frozen_factor` is the only way any solver solves it: the implicit
 step and the ergodic policy solver, whose pinned generator is a frozen
 matrix too.  In 1-D the factor is LAPACK's tridiagonal LU with partial
@@ -86,7 +88,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import Grid, GridField, apply_H, cfl_dt, control_values, require_no_boundary_data
+from .grid import (
+    Grid,
+    GridField,
+    apply_H,
+    cfl_dt,
+    control_values,
+    frozen_matrix,
+    require_no_boundary_data,
+)
 
 BOUND_RTOL = 1e-9
 # the compiled scipy modules of the 1-D and the 2-D factor
@@ -188,73 +198,6 @@ def _load_compiled(name: str):
     return module
 
 
-class CscMatrix(NamedTuple):
-    """A square matrix of order ``n`` in compressed sparse column form:
-    column j holds rows ``indices[indptr[j]:indptr[j + 1]]``, ascending,
-    with values ``data[indptr[j]:indptr[j + 1]]``.  This is the canonical
-    form that scipy.sparse reaches after ``sum_duplicates``, the layout
-    ``splu`` hands to SuperLU, entries of value zero included."""
-
-    data: np.ndarray
-    indices: np.ndarray  # intc
-    indptr: np.ndarray  # intc
-    n: int
-
-
-def frozen_matrix(
-    grid: Grid,
-    policy: np.ndarray,
-    scale: float,
-    shift: float,
-    pin: int | None = None,
-):
-    """The matrix ``shift I + scale A_policy`` for frozen per-node controls.
-
-    ``(A_policy u)_i = sum of coef * (u_nbr - u_i)`` over the stencil of
-    the control ``policy[i]``, so ``control_values(grid, u)[policy[i], i]``
-    is ``(A_policy u)_i - l``.  Row i takes its coefficients from the
-    stacked tables ``grid.coef_minus`` and ``grid.coef_plus``
-    (n_controls, n, N) at ``[policy[i], i]``, one fancy index for all
-    rows.  With ``pin`` the row of that node becomes the identity row.
-    Returned as the (3, n) band of ``scipy.linalg.solve_banded`` in 1-D
-    and in 2-D as a :class:`CscMatrix`, built in numpy.  Its pattern is
-    the grid's: the diagonal and every in-grid neighbour, whatever the
-    policy and whatever the value, so a zero coefficient stays an entry
-    and the fill-reducing order depends on the grid alone.
-    """
-    n = grid.n
-    rows = np.arange(n)
-    cm = grid.coef_minus[policy, rows]
-    cp = grid.coef_plus[policy, rows]
-    diag = shift - scale * (cm.sum(axis=1) + cp.sum(axis=1))
-    if pin is not None:
-        cm[pin] = cp[pin] = 0.0
-        diag[pin] = 1.0
-    if grid.ndim == 1:
-        ab = np.zeros((3, n))
-        ab[1] = diag
-        ab[0, 1:] = scale * cp[:-1, 0]
-        ab[2, :-1] = scale * cm[1:, 0]
-        return ab
-    entries_r = [rows]
-    entries_c = [rows]
-    entries_v = [diag]
-    for k in range(grid.ndim):
-        for side, coef in ((0, cm[:, k]), (1, cp[:, k])):
-            nbr = grid._nbr[:, k, side]
-            mask = nbr >= 0
-            entries_r.append(rows[mask])
-            entries_c.append(nbr[mask])
-            entries_v.append(scale * coef[mask])
-    r, c = np.concatenate(entries_r), np.concatenate(entries_c)
-    # the neighbours of a node are distinct lattice points, so no (r, c)
-    # repeats and sorting on c * n + r orders columns, then rows in each
-    order = np.argsort(c * n + r)
-    indptr = np.zeros(n + 1, dtype=np.intc)
-    np.cumsum(np.bincount(c, minlength=n), out=indptr[1:])
-    return CscMatrix(np.concatenate(entries_v)[order], r[order].astype(np.intc), indptr, n)
-
-
 class _BandFactor:
     """A 1-D frozen operator factored once by LAPACK's tridiagonal LU with
     partial pivoting (``dgttrf`` of ``FLAPACK``); each solve is the two
@@ -289,16 +232,18 @@ def frozen_factor(
     shift: float,
     pin: int | None = None,
 ):
-    """The factored :func:`frozen_matrix`; ``.solve(rhs)`` solves
-    ``matrix @ u = rhs``, and ``rhs`` may hold one right-hand side per
-    column.
+    """The factored :func:`hjblab.grid.frozen_matrix`; ``.solve(rhs)``
+    solves ``matrix @ u = rhs``, and ``rhs`` may hold one right-hand side
+    per column.
 
     The grid keeps the last factor, keyed on the policy bytes and the
     exact scalars; a hit returns it without rebuilding the matrix, a miss
-    replaces it and adds one to ``grid.factorizations``.  A singular
-    operator raises :class:`NumericalError` when it is factored.
+    replaces it and adds one to ``grid.factorizations``.  The key may
+    leave the stencil out because the grid's tables are read-only.  A
+    singular operator raises :class:`NumericalError` when it is factored.
 
-    In 2-D the factor is SuperLU's ``gstrf`` of the CSC arrays with
+    In 2-D the factor is SuperLU's ``gstrf`` of the CSC arrays, whose
+    ``indices`` and ``indptr`` are the grid's read-only pattern, with
     ``SUPERLU_OPTIONS``, the call and the options of
     ``scipy.sparse.linalg.splu`` with ``permc_spec="MMD_AT_PLUS_A"``,
     ``diag_pivot_thresh=0.0`` and ``SymmetricMode``, so the factor has

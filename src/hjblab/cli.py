@@ -50,7 +50,13 @@ def _config_hash(path: str) -> str:
 def _grid_h(config: dict, args) -> float:
     if getattr(args, "h", None) is not None:
         return args.h
-    return float(config.get("grid", {}).get("h", DEFAULT_H))
+    grid = config.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError(f"config field 'grid' is not an object: {grid!r}")
+    try:
+        return float(grid.get("h", DEFAULT_H))
+    except (TypeError, ValueError):
+        raise ConfigError(f"grid: field 'h' is malformed: {grid['h']!r}") from None
 
 
 def _manifest(args, config: dict, extra: dict) -> dict:

@@ -59,7 +59,14 @@ import numpy as np
 
 from .cauchy import frozen_factor, march
 from .errors import ConfigError, NumericalError
-from .grid import Grid, GridField, apply_H, maximizing_policy, require_no_boundary_data
+from .grid import (
+    Grid,
+    GridField,
+    apply_H,
+    generator_at,
+    maximizing_policy,
+    require_no_boundary_data,
+)
 
 MAX_POLICY_ITERATIONS = 100
 RVI_DT = 0.05
@@ -151,8 +158,7 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
     params = params or ErgodicSolverParams()
     require_no_boundary_data(grid)
     anchor = _anchor(grid, params)
-    n, N = grid.n, grid.ndim
-    gather = grid._gather[:, anchor]
+    n = grid.n
     rhs = np.ones((n, 2))
     rhs[anchor] = 0.0
     policy = maximizing_policy(grid, np.zeros(n))
@@ -171,8 +177,7 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
         # (A u)[anchor] for u = y, z in neighbor differences: the pinned row
         # holds u[anchor] = 0 only up to the roundoff of the solve
         ca = policy[anchor]
-        coef, diffs = grid._coef[:, ca, anchor], yz[gather] - yz[anchor]
-        a_y, a_z = coef[:N] @ diffs[:N] + coef[N:] @ diffs[N:]
+        a_y, a_z = generator_at(grid, ca, anchor, yz)
         c = float((a_y - grid.l[ca, anchor]) / (1.0 - a_z))
         chi = yz[:, 0] + c * yz[:, 1]
         new_policy = maximizing_policy(grid, chi)

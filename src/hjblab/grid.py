@@ -35,19 +35,23 @@ supported; a control with a nonzero off-diagonal entry of a at any node
 is refused with :class:`ConfigError`.
 
 The per-control data are stacked tables on the :class:`Grid`, the
-control index first: ``coef_minus``, ``coef_plus``, ``b_raw``, ``a_diag``,
-``updir`` and ``forced`` are ``(n_controls, n, N)``, ``l`` is
-``(n_controls, n)`` and ``face``, ``face_clamped`` and ``face_dropped`` are
-``(n_controls, n, N, 2)`` with the minus side first.  Every solver reads
-or indexes these tables, and a frozen policy picks its rows with one
-fancy index.  For :func:`control_values` the build also stacks the two
-sides of every axis into one row per stencil side, the minus sides
-first: the neighbor gather indices ``_gather``, ``(2N, n)``, and the
-coefficients ``_coef``, ``(2N, n_controls, n)``.  The kernel reads all
-2N neighbor values with one gather and forms every control's stencil
-terms with one difference and one product, so its cost per call is a
-fixed handful of array operations, whatever N and the number of
-controls.
+control index first: ``b_raw``, ``a_diag``, ``updir`` and ``forced`` are
+``(n_controls, n, N)``, ``l`` is ``(n_controls, n)`` and ``face``,
+``face_clamped`` and ``face_dropped`` are ``(n_controls, n, N, 2)`` with
+the minus side first.  The stencil itself is stored once, one row per
+stencil side, the minus sides first (row ``side * N + k`` for axis k):
+the neighbor indices ``_gather``, ``(2N, n)``, where a missing neighbor
+is the node itself (a node is never its own neighbor), and the
+coefficients ``_coef``, ``(2N, n_controls, n)``, zero on a missing side.
+In 2-D the build also fixes the CSC pattern of every frozen operator
+once (``_csc_take``, ``_csc_indices``, ``_csc_indptr``).  Only this
+module reads the stencil tables: :func:`control_values` reads all 2N
+neighbor values with one gather and forms every control's stencil terms
+with one difference and one product, so its cost per call is a fixed
+handful of array operations, whatever N and the number of controls;
+:func:`frozen_matrix` assembles the frozen-control matrix that
+:func:`hjblab.cauchy.frozen_factor` factors, and :func:`generator_at`
+one row of it.
 
 A boundary face whose normal diffusivity survives the clamp would need a
 boundary datum.  :func:`build_grid` and :func:`stencil_report` accept such
@@ -58,6 +62,7 @@ a grid and count those faces; every solver refuses it through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,11 +77,13 @@ GridField = np.ndarray  # one real per node
 class Grid:
     """Uniform interior grid with cached geometry and stencil tables.
 
-    The node, geometry and stencil tables are immutable after the build:
-    nothing writes to them, and :func:`hjblab.cauchy.frozen_factor` relies
-    on it, since it keeps the last factored frozen operator in ``_frozen``
-    keyed on the policy and the scalars alone.  ``factorizations`` counts
-    the misses of that cache: the frozen operators built into a factor.
+    Every array attribute (nodes, geometry, the per-control tables, the
+    one stencil layout ``_gather`` and ``_coef``, and the 2-D CSC pattern)
+    is made read-only at the end of the build, so a write raises
+    ``ValueError``.  :func:`hjblab.cauchy.frozen_factor` relies on it,
+    since it keeps the last factored frozen operator in ``_frozen`` keyed
+    on the policy and the scalars alone.  ``factorizations`` counts the
+    misses of that cache: the frozen operators built into a factor.
     """
 
     def __init__(self, problem: ControlProblem, h: float):
@@ -89,6 +96,9 @@ class Grid:
         self._build_nodes()
         self._build_geometry()
         self._build_stencils()
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         self._frozen = None  # (key, factor) of the last frozen operator
         self.factorizations = 0
 
@@ -106,9 +116,8 @@ class Grid:
                 raise ConfigError(f"h={h} is too coarse: only {n} interior nodes")
             self.x = (dom.x_lo + h * np.arange(1, n + 1)).reshape(-1, 1)
             self.n = n
-            self._nbr = np.full((n, 1, 2), -1, dtype=np.int64)
-            self._nbr[1:, 0, 0] = np.arange(n - 1)
-            self._nbr[:-1, 0, 1] = np.arange(1, n)
+            nodes = np.arange(n)
+            self._gather = np.stack([np.maximum(nodes - 1, 0), np.minimum(nodes + 1, n - 1)])
             return
 
         if h > dom.radius / 2:
@@ -131,11 +140,10 @@ class Grid:
         index[1:-1, 1:-1][inside] = np.arange(n)
         rows, cols = np.nonzero(inside)
         rows, cols = rows + 1, cols + 1
-        self._nbr = np.empty((n, 2, 2), dtype=np.int64)
-        self._nbr[:, 0, 0] = index[rows, cols - 1]
-        self._nbr[:, 0, 1] = index[rows, cols + 1]
-        self._nbr[:, 1, 0] = index[rows - 1, cols]
-        self._nbr[:, 1, 1] = index[rows + 1, cols]
+        nbr = np.stack([
+            index[rows, cols - 1], index[rows - 1, cols], index[rows, cols + 1], index[rows + 1, cols]
+        ])
+        self._gather = np.where(nbr < 0, np.arange(n), nbr)
 
     def _build_geometry(self):
         dom = self.domain
@@ -156,10 +164,14 @@ class Grid:
         n, N = self.n, self.ndim
         fd_step = 1e-6 * geo.diameter(self.domain)
         h2 = h * h
-        has = self._nbr >= 0
+        nodes = np.arange(n)
+        # (2N, n): the stencil sides that have a neighbor, and the same flags
+        # as (n, N, 2), the layout of the face tables
+        has = self._gather != nodes
+        has_side = has.reshape(2, N, n).transpose(2, 1, 0)
         # nodes with a missing neighbor take their outer face from the
         # normal diffusivity at the nearest boundary point
-        edge = ~has.all(axis=(1, 2))
+        edge = ~has.all(axis=0)
         foot, normal = geo.boundary_foot(self.domain, x[edge])
         off_diagonal = ~np.eye(N, dtype=bool)
         C = len(problem.controls)
@@ -193,7 +205,7 @@ class Grid:
                 bt[ci, :, k] = self.b_raw[ci, :, k] - (a_kk(xp, ci, k) - a_kk(xm, ci, k)) / (2 * fd_step)
                 # face diffusivities at the midpoints towards existing neighbors
                 for side, sign in ((0, -1.0), (1, 1.0)):
-                    inner = has[:, k, side]
+                    inner = has[side * N + k]
                     xf = x[inner]
                     xf[:, k] += sign * h / 2
                     self.face[ci, inner, k, side] = a_kk(xf, ci, k)
@@ -206,10 +218,10 @@ class Grid:
                 raise ConfigError(f"control {control.label}: coefficients evaluate non-finite")
 
         small = (nu < h2)[:, :, None, None]
-        self.face_clamped = ~has & small
-        self.face_dropped = ~has & ~small
+        self.face_clamped = ~has_side & small
+        self.face_dropped = ~has_side & ~small
         self.face = np.where(self.face_dropped, nu[:, :, None, None], self.face)
-        has_minus, has_plus = has[:, :, 0], has[:, :, 1]
+        has_minus, has_plus = has_side[:, :, 0], has_side[:, :, 1]
         updir = np.where(bt >= 0.0, 1, -1).astype(np.int64)
         # flip the upwind side where its neighbor is missing
         flip_to_plus = (updir == -1) & ~has_minus
@@ -219,23 +231,25 @@ class Grid:
         updir[flip_to_minus] = -1
         self.updir = updir
         drift_ok = np.where(updir == 1, has_plus, has_minus)
-        self.coef_minus = -(self.face[..., 0] * has_minus) / h2 + np.where(
-            (updir == -1) & drift_ok, bt / h, 0.0
-        )
-        self.coef_plus = -(self.face[..., 1] * has_plus) / h2 + np.where(
-            (updir == 1) & drift_ok, -bt / h, 0.0
-        )
-        # the kernel's tables, one C-contiguous row per stencil side, the minus
-        # sides first: (2N, n) gather indices with missing neighbors redirected
-        # to the node itself, so that (u[nbr] - u) vanishes there, and the
-        # (2N, n_controls, n) coefficients in the same row order
-        self._gather = np.empty((2 * N, n), dtype=np.int64)
-        self._coef = np.empty((2 * N, C, n))
-        for side, coef in enumerate((self.coef_minus, self.coef_plus)):
-            self._gather[side * N : (side + 1) * N] = self._nbr[:, :, side].T
-            self._coef[side * N : (side + 1) * N] = coef.transpose(2, 0, 1)
-        missing = self._gather < 0
-        self._gather[missing] = np.nonzero(missing)[1]
+        minus = -(self.face[..., 0] * has_minus) / h2 + np.where((updir == -1) & drift_ok, bt / h, 0.0)
+        plus = -(self.face[..., 1] * has_plus) / h2 + np.where((updir == 1) & drift_ok, -bt / h, 0.0)
+        # the one coefficient table, (2N, n_controls, n) in the row order of
+        # _gather; a missing side has coefficient zero
+        self._coef = np.ascontiguousarray(np.concatenate([minus, plus], axis=2).transpose(2, 0, 1))
+        if N > 1:
+            # the CSC pattern of every 2-D frozen_matrix: the diagonal and each
+            # in-grid neighbor, whatever the policy and the value, as positions
+            # in the stacked (2N + 1, n) values [diag; coef], columns in order
+            # and the rows of each ascending; the neighbors of a node are
+            # distinct lattice points, so no (row, column) repeats
+            entries = np.flatnonzero(np.vstack([np.ones(n, dtype=bool), has]))
+            cols = np.vstack([nodes, self._gather]).ravel()[entries]
+            self._csc_take = entries[np.argsort(cols * n + entries % n)]
+            self._csc_indices = (self._csc_take % n).astype(np.intc)
+            self._csc_indptr = np.zeros(n + 1, dtype=np.intc)
+            np.cumsum(np.bincount(cols, minlength=n), out=self._csc_indptr[1:])
+        else:
+            self._csc_take = self._csc_indices = self._csc_indptr = None
         # the stencil is fixed from here on: its worst explicit rate, for cfl_dt
         self._max_rate = float(_explicit_rates(self).max())
 
@@ -315,9 +329,77 @@ def maximizing_policy(grid: Grid, u: GridField) -> np.ndarray:
     return np.argmax(control_values(grid, u), axis=0)
 
 
+def _side_sums(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    """The sum over each stencil of stacked per-side values ``(2N, ...)``,
+    ``(m_1 + .. + m_N) + (p_1 + .. + p_N)``."""
+    N = grid.ndim
+    return coef[:N].sum(axis=0) + coef[N:].sum(axis=0)
+
+
 def _explicit_rates(grid: Grid) -> np.ndarray:
     """(n_controls, n) explicit update rates: the sum of |coef| over each stencil."""
-    return np.abs(grid.coef_minus).sum(axis=2) + np.abs(grid.coef_plus).sum(axis=2)
+    return _side_sums(grid, np.abs(grid._coef))
+
+
+def generator_at(grid: Grid, control: int, node: int, u: np.ndarray):
+    """``(A_control u)[node]``, the frozen generator's row of one node, in
+    neighbor differences; ``u`` is a field or one field per column."""
+    N = grid.ndim
+    coef = grid._coef[:, control, node]
+    diffs = u[grid._gather[:, node]] - u[node]
+    return coef[:N] @ diffs[:N] + coef[N:] @ diffs[N:]
+
+
+class CscMatrix(NamedTuple):
+    """A square matrix of order ``n`` in compressed sparse column form:
+    column j holds rows ``indices[indptr[j]:indptr[j + 1]]``, ascending,
+    with values ``data[indptr[j]:indptr[j + 1]]``.  This is the canonical
+    form that scipy.sparse reaches after ``sum_duplicates``, the layout
+    ``splu`` hands to SuperLU, entries of value zero included.  A frozen
+    matrix shares ``indices`` and ``indptr`` with its grid, read-only."""
+
+    data: np.ndarray
+    indices: np.ndarray  # intc
+    indptr: np.ndarray  # intc
+    n: int
+
+
+def frozen_matrix(
+    grid: Grid,
+    policy: np.ndarray,
+    scale: float,
+    shift: float,
+    pin: int | None = None,
+):
+    """The matrix ``shift I + scale A_policy`` for frozen per-node controls.
+
+    ``(A_policy u)_i = sum of coef * (u_j - u_i)`` over the neighbours j
+    in the stencil of the control ``policy[i]``, so
+    ``control_values(grid, u)[policy[i], i]`` is ``(A_policy u)_i - l``.  Row i takes its coefficients from the
+    stacked table ``grid._coef`` (2N, n_controls, n) at ``[:, policy[i],
+    i]``, one fancy index for all rows.  With ``pin`` the row of that
+    node becomes the identity row.  Returned as the (3, n) band of
+    ``scipy.linalg.solve_banded`` in 1-D and in 2-D as a
+    :class:`CscMatrix`: one gather of the stacked values ``[diag; scale
+    coef]`` through the grid's CSC pattern.  That pattern is the
+    diagonal and every in-grid neighbour, whatever the policy and
+    whatever the value, so a zero coefficient stays an entry and the
+    fill-reducing order depends on the grid alone.
+    """
+    n = grid.n
+    coef = grid._coef[:, policy, np.arange(n)]
+    diag = shift - scale * _side_sums(grid, coef)
+    if pin is not None:
+        coef[:, pin] = 0.0
+        diag[pin] = 1.0
+    if grid.ndim == 1:
+        ab = np.zeros((3, n))
+        ab[1] = diag
+        ab[0, 1:] = scale * coef[1, :-1]
+        ab[2, :-1] = scale * coef[0, 1:]
+        return ab
+    data = np.vstack([diag, scale * coef]).take(grid._csc_take)
+    return CscMatrix(data, grid._csc_indices, grid._csc_indptr, n)
 
 
 def cfl_dt(grid: Grid) -> float:
@@ -363,9 +445,9 @@ class StencilReport:
 
 
 def _row_sums(grid: Grid, matrix) -> np.ndarray:
-    """Row sums of a :func:`hjblab.cauchy.frozen_matrix`: in 1-D the
-    diagonal plus the off-diagonal sum of the band, in 2-D the CSC entries
-    summed by row, in column order, as a CSC product with ones adds them."""
+    """Row sums of a :func:`frozen_matrix`: in 1-D the diagonal plus the
+    off-diagonal sum of the band, in 2-D the CSC entries summed by row, in
+    column order, as a CSC product with ones adds them."""
     if grid.ndim == 1:
         off = np.zeros(grid.n)
         off[:-1] = matrix[0, 1:]
@@ -375,16 +457,14 @@ def _row_sums(grid: Grid, matrix) -> np.ndarray:
 
 
 def stencil_report(grid: Grid, include_nodes: bool = False) -> StencilReport:
-    from .cauchy import frozen_matrix  # cauchy imports this module
-
     # off-diagonal coefficients of the monotone update are -coef
-    min_off = min(float((-grid.coef_minus).min()), float((-grid.coef_plus).min()))
+    min_off = -float(grid._coef.max())
     # relative residual of the zero-row-sum identity A[const] = 0, read off
     # each control's assembled generator
     row_err = 0.0
     for ci in range(grid.n_controls):
         matrix = frozen_matrix(grid, np.full(grid.n, ci), 1.0, 0.0)
-        total = grid.coef_minus[ci].sum(axis=1) + grid.coef_plus[ci].sum(axis=1)
+        total = _side_sums(grid, grid._coef[:, ci])
         err = np.abs(_row_sums(grid, matrix)) / (1.0 + np.abs(total))
         row_err = max(row_err, float(err.max()))
     per_node = []

@@ -210,6 +210,22 @@ def _preset_config(name: str, params: dict) -> dict:
     raise ConfigError(f"unknown preset {name!r}")
 
 
+def _read(section: dict, key: str, where: str, convert=None):
+    """``section[key]``, passed through ``convert`` if given; a missing
+    field, or one that ``convert`` refuses, raises :class:`ConfigError`
+    naming it."""
+    try:
+        value = section[key]
+    except KeyError:
+        raise ConfigError(f"{where} has no field {key!r}") from None
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: field {key!r} is malformed: {value!r}") from None
+
+
 def assemble_problem(config: dict) -> ControlProblem:
     """Build a :class:`ControlProblem` from a configuration mapping.
 
@@ -235,9 +251,14 @@ def assemble_problem(config: dict) -> ControlProblem:
 
     kind = dom_cfg.get("kind")
     if kind == "interval":
-        domain: geo.Domain = geo.Interval(float(dom_cfg["x_lo"]), float(dom_cfg["x_hi"]))
+        domain: geo.Domain = geo.Interval(
+            _read(dom_cfg, "x_lo", "domain", float), _read(dom_cfg, "x_hi", "domain", float)
+        )
     elif kind == "disk":
-        domain = geo.Disk(tuple(float(c) for c in dom_cfg["center"]), float(dom_cfg["radius"]))
+        domain = geo.Disk(
+            _read(dom_cfg, "center", "domain", lambda v: tuple(float(c) for c in v)),
+            _read(dom_cfg, "radius", "domain", float),
+        )
     else:
         raise ConfigError(f"unknown domain kind {kind!r}")
     n = geo.dim(domain)
@@ -249,11 +270,14 @@ def assemble_problem(config: dict) -> ControlProblem:
     controls = []
     for idx, c in enumerate(controls_cfg):
         label = c.get("label", f"alpha{idx + 1}")
-        b_src = c["b"] if isinstance(c["b"], list) else [c["b"]]
-        sigma_src = c["sigma"]
+        where = f"control {label}"
+        b_src = _read(c, "b", where)
+        if not isinstance(b_src, list):
+            b_src = [b_src]
+        sigma_src = _read(c, "sigma", where)
         if sigma_src and not isinstance(sigma_src[0], list):
             sigma_src = [sigma_src]
-        l_src = c["l"]
+        l_src = _read(c, "l", where)
         if len(b_src) != n:
             raise ConfigError(
                 f"control {label}: drift has {len(b_src)} components, domain dimension is {n}"
@@ -266,7 +290,9 @@ def assemble_problem(config: dict) -> ControlProblem:
         if width < 1 or any(len(row) != width for row in sigma_src):
             raise ConfigError(f"control {label}: sigma rows must share one positive length")
 
-        def _parse(src: str) -> ex.Expr:
+        def _parse(src: str, key: str) -> ex.Expr:
+            if not isinstance(src, str):
+                raise ConfigError(f"{where}: field {key!r} holds {src!r}, not an expression string")
             tree = ex.parse(src)
             extra = ex.free_vars(tree) - allowed
             if extra:
@@ -279,16 +305,16 @@ def assemble_problem(config: dict) -> ControlProblem:
         controls.append(
             Control(
                 label=label,
-                b=tuple(_parse(s) for s in b_src),
-                sigma=tuple(tuple(_parse(s) for s in row) for row in sigma_src),
-                l=_parse(l_src),
+                b=tuple(_parse(s, "b") for s in b_src),
+                sigma=tuple(tuple(_parse(s, "sigma") for s in row) for row in sigma_src),
+                l=_parse(l_src, "l"),
                 b_src=tuple(b_src),
                 sigma_src=tuple(tuple(row) for row in sigma_src),
                 l_src=l_src,
             )
         )
 
-    reg = RegularityConstants(float(reg_cfg["B"]), float(reg_cfg["eta"]), float(reg_cfg["beta"]))
+    reg = RegularityConstants(*(_read(reg_cfg, key, "regularity", float) for key in ("B", "eta", "beta")))
     return ControlProblem(domain=domain, controls=tuple(controls), reg=reg, name=name)
 
 

@@ -89,8 +89,9 @@ def validated_two_control_disk_config() -> dict:
 
 
 def scipy_csc(matrix):
-    """A 2-D :func:`hjblab.cauchy.frozen_matrix` as the scipy.sparse matrix
-    of the same CSC arrays, for the public routes that tests compare with."""
+    """A 2-D :func:`hjblab.grid.frozen_matrix` as the scipy.sparse matrix
+    of the same CSC arrays, for the public routes that tests compare with;
+    ``indices`` and ``indptr`` are the grid's read-only pattern."""
     import scipy.sparse
 
     return scipy.sparse.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=(matrix.n,) * 2)

@@ -140,6 +140,13 @@ def test_holder_needs_enough_nodes():
         hj.holder_fit(g, -np.sqrt(g.d), "left", fit_range=(0.1, 0.2))
 
 
+def test_holder_refuses_an_unknown_side_by_name():
+    disk = hj.build_grid(hj.assemble_problem(helpers.disk_config()), 0.125)
+    for g in (helpers.grid("smoothA", 0.05), disk):
+        with pytest.raises(ConfigError, match="unknown side 'top'"):
+            hj.holder_fit(g, np.zeros(g.n), side="top")
+
+
 def test_convergence_constant_cost_identity():
     g = helpers.grid("constantL", 0.01)
     pair = hj.solve_ergodic_rvi(g)

@@ -8,14 +8,13 @@ import hjblab as hj
 from hjblab import cauchy
 from hjblab.cauchy import (
     frozen_factor,
-    frozen_matrix,
     howard_solve,
     initial_state,
     step_explicit,
     step_implicit_policy,
 )
 from hjblab.errors import ConfigError, NumericalError
-from hjblab.grid import maximizing_policy
+from hjblab.grid import frozen_matrix, maximizing_policy
 
 
 def test_explicit_constant_cost_step():
@@ -489,18 +488,21 @@ def _disk_grids():
 def test_csc_arrays_are_scipy_canonical_form():
     # entry for entry the arrays of csc_matrix((v, (r, c))) after
     # sum_duplicates, built from the stencil entries in scattered order:
-    # columns and the rows in each ascending, zero coefficients kept
+    # columns and the rows in each ascending, zero coefficients kept; the
+    # pattern is the grid's, built once, whatever the policy, scale and pin,
+    # and no factorization changes it
     import scipy.sparse
 
     rng = np.random.default_rng(16)
     for g in _disk_grids():
         rows = np.arange(g.n)
-        for scale, shift, pin in ((0.05, 1.0, None), (1.0, 0.0, g.n // 2)):
+        pattern = g._csc_indices.copy(), g._csc_indptr.copy()
+        for scale, shift, pin in ((0.05, 1.0, None), (10.0, 1.0, None), (1.0, 0.0, g.n // 2)):
             policy = rng.integers(0, g.n_controls, g.n)
             dense = _dense(g, frozen_matrix(g, policy, scale, shift, pin))
-            has = g._nbr >= 0
-            r = np.concatenate([rows, np.repeat(rows, has.sum(axis=(1, 2)))])
-            c = np.concatenate([rows, g._nbr[has]])
+            has = g._gather != rows
+            r = np.concatenate([rows, np.nonzero(has)[1]])
+            c = np.concatenate([rows, g._gather[has]])
             perm = rng.permutation(len(r))
             reference = scipy.sparse.csc_matrix((dense[r, c][perm], (r[perm], c[perm])), shape=(g.n, g.n))
             reference.sum_duplicates()
@@ -511,6 +513,10 @@ def test_csc_arrays_are_scipy_canonical_form():
             assert np.array_equal(got.indices, reference.indices)
             assert np.array_equal(got.data, reference.data)
             assert len(got.data) == len(r)  # every neighbour an entry, none repeated
+            assert np.array_equal(got.indices, g._csc_indices)
+            assert np.array_equal(got.indptr, g._csc_indptr)
+            frozen_factor(g, policy, scale, shift, pin)
+            assert np.array_equal(g._csc_indices, pattern[0]) and np.array_equal(g._csc_indptr, pattern[1])
 
 
 def test_disk_factor_solves_as_splu():

@@ -69,6 +69,33 @@ def test_missing_config_exits_two_without_output(tmp_path):
     assert not out.exists()
 
 
+def _edited(edit) -> dict:
+    cfg = helpers.sigma_one_config()
+    edit(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("validate", _edited(lambda c: c["domain"].pop("x_lo")), "domain has no field 'x_lo'"),
+    ("validate", _edited(lambda c: c["controls"][0].pop("b")), "control alpha1 has no field 'b'"),
+    ("validate", _edited(lambda c: c["regularity"].update(B="x")), "regularity: field 'B' is malformed: 'x'"),
+    ("validate", _edited(lambda c: c["controls"][0].update(l=5)), "control alpha1: field 'l' holds 5"),
+    ("ergodic", _edited(lambda c: c.update(grid={"h": "abc"})), "grid: field 'h' is malformed: 'abc'"),
+    ("ergodic", _edited(lambda c: c.update(grid=[1])), "config field 'grid' is not an object"),
+])
+def test_malformed_config_field_exits_two(tmp_path, capsys, command, cfg, message):
+    import hjblab.cli as cli
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    assert cli.run([command, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_solve_off_diagonal_diffusion_exits_two(tmp_path):
     cfg = helpers.disk_config()
     cfg["controls"][0]["sigma"] = [["d", "0"], ["d", "d"]]

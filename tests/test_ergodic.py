@@ -67,7 +67,7 @@ def test_policy_reducible_disk_operator_raises():
     # must still find the zero pivot
     cfg = dict(DISK, controls=[{"b": ["x1", "0"], "sigma": [["0", "0"], ["0", "0"]], "l": "x1^2"}])
     g = hj.build_grid(hj.assemble_problem(cfg), 0.1)
-    assert (g.coef_minus != 0.0).any() or (g.coef_plus != 0.0).any()
+    assert (g._coef != 0.0).any()
     with pytest.raises(NumericalError, match="singular .* never reaches the anchor"):
         hj.solve_ergodic_policy(g)
 

@@ -3,9 +3,9 @@ import pytest
 
 import helpers
 import hjblab as hj
-from hjblab.cauchy import frozen_matrix, initial_state
+from hjblab.cauchy import initial_state
 from hjblab.errors import ConfigError
-from hjblab.grid import control_values, maximizing_policy, stencil_report
+from hjblab.grid import control_values, frozen_matrix, maximizing_policy, stencil_report
 
 
 def test_interval_nodes():
@@ -36,7 +36,8 @@ def test_disk_five_nodes():
 
 
 def test_disk_neighbors_match_brute_force():
-    # every node's lattice neighbors found by comparing all pairs of nodes
+    # every node's lattice neighbors found by comparing all pairs of nodes;
+    # row side * 2 + k of the gather table, the node itself where one is missing
     cfg = helpers.disk_config()
     cfg["domain"].update(center=[0.3, -0.7], radius=0.45)
     for h in (0.05, 0.03):
@@ -48,10 +49,25 @@ def test_disk_neighbors_match_brute_force():
                 target[k] = sign
                 hits = np.isclose(offset, target, rtol=0.0, atol=1e-9).all(axis=2)
                 assert (hits.sum(axis=1) <= 1).all()
-                expected = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
-                assert np.array_equal(g._nbr[:, k, side], expected), (h, k, side)
+                expected = np.where(hits.any(axis=1), hits.argmax(axis=1), np.arange(g.n))
+                assert np.array_equal(g._gather[side * 2 + k], expected), (h, k, side)
         # nodes are numbered row by row, x2 outer and x1 inner
         assert np.array_equal(np.lexsort((g.x[:, 0], g.x[:, 1])), np.arange(g.n))
+
+
+def test_grid_tables_are_read_only():
+    # the frozen_factor cache is keyed on the policy and the scalars alone,
+    # so no table it reads may change after the build
+    disk = hj.build_grid(hj.assemble_problem(helpers.disk_config()), 0.125)
+    for g in (helpers.grid("twoControlA", 0.05), disk):
+        tables = [value for value in vars(g).values() if isinstance(value, np.ndarray)]
+        assert not any(table.flags.writeable for table in tables)
+        for table in (g._coef, g.l, g._gather):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1
+    for table in (disk._csc_take, disk._csc_indices, disk._csc_indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
 
 
 def _dense(grid, matrix):
@@ -94,11 +110,13 @@ def test_control_values_match_per_node_reference():
             for ci in range(g.n_controls):
                 for i in range(g.n):
                     sides = []
-                    for side, coef in ((0, g.coef_minus), (1, g.coef_plus)):
-                        diffs = [u[j] - u[i] if j >= 0 else 0.0 for j in g._nbr[i, :, side]]
-                        total = float(coef[ci, i, 0]) * diffs[0]
+                    for side in (0, 1):
+                        stencil = slice(side * g.ndim, (side + 1) * g.ndim)
+                        coef = g._coef[stencil, ci, i]
+                        diffs = [u[j] - u[i] if j != i else 0.0 for j in g._gather[stencil, i]]
+                        total = float(coef[0]) * diffs[0]
                         for k in range(1, g.ndim):
-                            total += float(coef[ci, i, k]) * diffs[k]
+                            total += float(coef[k]) * diffs[k]
                         sides.append(total)
                     ref[ci, i] = sides[0] + sides[1] - float(g.l[ci, i])
             assert np.array_equal(control_values(g, u), ref), (g.problem.fingerprint(), scale)
@@ -125,7 +143,7 @@ def test_cached_coefficients_match_direct_evaluation():
                 assert np.array_equal(g.a_diag[ci, i], np.diagonal(a))
                 for k in range(g.ndim):
                     for side, offset in ((0, -h / 2), (1, h / 2)):
-                        if g._nbr[i, k, side] >= 0:
+                        if g._gather[side * g.ndim + k, i] != i:
                             xf = g.x[i].copy()
                             xf[k] += offset
                             assert g.face[ci, i, k, side] == p.diffusion(xf, ci)[k, k]
@@ -139,9 +157,9 @@ def test_upwind_drift_is_b_minus_div_a():
     g = hj.build_grid(p, h)
     for ci in range(g.n_controls):
         for k in range(g.ndim):
-            inner = (g._nbr[:, k, :] >= 0).all(axis=1)
+            inner = (g._gather[[k, g.ndim + k]] != np.arange(g.n)).all(axis=0)
             faces = g.face[ci, inner, k].sum(axis=1) / h**2
-            recovered = -h * (g.coef_minus[ci, inner, k] + g.coef_plus[ci, inner, k] + faces)
+            recovered = -h * (g._coef[k, ci, inner] + g._coef[g.ndim + k, ci, inner] + faces)
             xp, xm = g.x[inner].copy(), g.x[inner].copy()
             xp[:, k] += step
             xm[:, k] -= step
@@ -185,7 +203,7 @@ def test_off_diagonal_diffusion_refused():
 
 def test_cfl_dt_is_fixed_at_build():
     g = helpers.grid("smoothA", 0.01)
-    rate = float((np.abs(g.coef_minus).sum(axis=2) + np.abs(g.coef_plus).sum(axis=2)).max())
+    rate = float(np.abs(g._coef).sum(axis=0).max())  # 1-D: |minus| + |plus|
     assert hj.cfl_dt(g) == 1.0 / rate
     flat = hj.build_grid(hj.assemble_problem(helpers.flat_config()), 0.1)
     with pytest.raises(ConfigError, match="vanishes"):
