@@ -50,8 +50,9 @@ TOMS 11, 1985), without pivoting (``SUPERLU_OPTIONS``): a frozen
 operator is an M-matrix, whose LU in any symmetric order is stable
 without pivoting (Berman-Plemmons, *Nonnegative Matrices in the
 Mathematical Sciences*, ch. 6).  Only a node where an outward drift is
-discretized one-sided inward (``Grid.forced``, which validation rules
-out) may put a positive off-diagonal entry in its row.  On the
+discretized one-sided inward (the ``forced_inward_count`` of
+:func:`hjblab.grid.stencil_report`, which validation rules out) may put
+a positive off-diagonal entry in its row.  On the
 benchmark's disk at h = 0.02 this factor holds 277,418 entries in L + U,
 where COLAMD with partial pivoting held 494,616, and the 2-D outputs
 moved by ulps against that pivoted factor.  Each grid caches its last

@@ -5,7 +5,7 @@ boundary distance, its gradient and its Hessian are analytic:
 
 * interval (lo, hi): d = min(x - lo, hi - x), Dd = +1 on the left half
   and -1 on the right half, D2d = 0 (d is not twice differentiable at
-  the midpoint; the cached Hessian there is 0, and nothing outside the
+  the midpoint; the Hessian returned there is 0, and nothing outside the
   boundary collar ever uses it);
 * disk of radius R around c: d = R - |x - c|, Dd = -(x - c)/|x - c|,
   D2d = -(I - n n^T)/|x - c| with n the unit radial direction.

@@ -34,18 +34,17 @@ a_kk is needed, and only row k of sigma is evaluated there
 supported; a control with a nonzero off-diagonal entry of a at any node
 is refused with :class:`ConfigError`.
 
-The per-control data are stacked tables on the :class:`Grid`, the
-control index first: ``b_raw``, ``a_diag``, ``updir`` and ``forced`` are
-``(n_controls, n, N)``, ``l`` is ``(n_controls, n)`` and ``face``,
-``face_clamped`` and ``face_dropped`` are ``(n_controls, n, N, 2)`` with
-the minus side first.  The stencil itself is stored once, one row per
-stencil side, the minus sides first (row ``side * N + k`` for axis k):
-the neighbor indices ``_gather``, ``(2N, n)``, where a missing neighbor
-is the node itself (a node is never its own neighbor), and the
-coefficients ``_coef``, ``(2N, n_controls, n)``, zero on a missing side.
-In 2-D the build also fixes the CSC pattern of every frozen operator
-once (``_csc_take``, ``_csc_indices``, ``_csc_indptr``).  Only this
-module reads the stencil tables: :func:`control_values` reads all 2N
+The :class:`Grid` keeps only what the solvers read: the nodes ``x``,
+the boundary distance ``d``, the costs ``l``, ``(n_controls, n)``, and
+the stencil, stored once, one row per stencil side, the minus sides
+first (row ``side * N + k`` for axis k): the neighbor indices
+``_gather``, ``(2N, n)``, where a missing neighbor is the node itself (a
+node is never its own neighbor), and the coefficients ``_coef``,
+``(2N, n_controls, n)``, zero on a missing side.  In 2-D the build also
+fixes the CSC pattern of every frozen operator once (``_csc_take``,
+``_csc_indices``, ``_csc_indptr``).  Drift, diffusion and face
+diffusivities are locals of the build.  Only this module reads the
+stencil tables: :func:`control_values` reads all 2N
 neighbor values with one gather and forms every control's stencil terms
 with one difference and one product, so its cost per call is a fixed
 handful of array operations, whatever N and the number of controls;
@@ -53,15 +52,18 @@ handful of array operations, whatever N and the number of controls;
 :func:`hjblab.cauchy.frozen_factor` factors, and :func:`generator_at`
 one row of it.
 
-A boundary face whose normal diffusivity survives the clamp would need a
-boundary datum.  :func:`build_grid` and :func:`stencil_report` accept such
-a grid and count those faces; every solver refuses it through
-:func:`require_no_boundary_data`.
+How the build closed the stencil at the boundary is one record,
+``Grid.closure`` (:class:`BoundaryClosure`): the boundary faces whose
+normal diffusivity survived the clamp, the faces clamped and the drift
+components forced inward.  A surviving face would need a boundary datum.
+:func:`build_grid` and :func:`stencil_report` accept such a grid and
+count those faces; every solver refuses it through
+:func:`require_no_boundary_data`.  Both read their counts off the record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -74,12 +76,27 @@ from .problem import ControlProblem, quadratic_form
 GridField = np.ndarray  # one real per node
 
 
-class Grid:
-    """Uniform interior grid with cached geometry and stencil tables.
+class BoundaryClosure(NamedTuple):
+    """How the build closed the stencil at the boundary, summed over the
+    controls.  ``exterior_faces`` counts the boundary faces whose normal
+    diffusivity is at least h^2 (or not a number), ``first_exterior_node``
+    is the lowest node with one (None without), ``clamped_faces`` counts
+    the boundary faces clamped to zero and ``forced_inward`` the outward
+    drift components discretized one-sided inward."""
 
-    Every array attribute (nodes, geometry, the per-control tables, the
-    one stencil layout ``_gather`` and ``_coef``, and the 2-D CSC pattern)
-    is made read-only at the end of the build, so a write raises
+    exterior_faces: int
+    first_exterior_node: int | None
+    clamped_faces: int
+    forced_inward: int
+
+
+class Grid:
+    """Uniform interior grid with the node data and stencil tables the
+    solvers read, and the build's :class:`BoundaryClosure` in ``closure``.
+
+    Every array attribute (``x``, ``d``, ``l``, the one stencil layout
+    ``_gather`` and ``_coef``, and the 2-D CSC pattern) is made read-only
+    at the end of the build, so a write raises
     ``ValueError``.  :func:`hjblab.cauchy.frozen_factor` relies on it,
     since it keeps the last factored frozen operator in ``_frozen`` keyed
     on the policy and the scalars alone.  ``factorizations`` counts the
@@ -94,7 +111,7 @@ class Grid:
         self.h = float(h)
         self.ndim = problem.dim
         self._build_nodes()
-        self._build_geometry()
+        self.d = geo.distance_value(self.domain, self.x)
         self._build_stencils()
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -145,41 +162,25 @@ class Grid:
         ])
         self._gather = np.where(nbr < 0, np.arange(n), nbr)
 
-    def _build_geometry(self):
-        dom = self.domain
-        n, N = self.n, self.ndim
-        self.d = np.zeros(n)
-        self.Dd = np.zeros((n, N))
-        self.D2d = np.zeros((n, N, N))
-        regular = np.ones(n, dtype=bool)
-        if isinstance(dom, geo.Disk):
-            # the gradient is undefined at the center; the node is far from
-            # the collar, nothing downstream uses its Dd and D2d entries
-            regular = ~np.isclose(self.x, dom.center).all(axis=1)
-            self.d[~regular] = dom.radius
-        self.d[regular], self.Dd[regular], self.D2d[regular] = geo.distance(dom, self.x[regular])
-
     def _build_stencils(self):
         problem, h, x = self.problem, self.h, self.x
         n, N = self.n, self.ndim
         fd_step = 1e-6 * geo.diameter(self.domain)
         h2 = h * h
         nodes = np.arange(n)
-        # (2N, n): the stencil sides that have a neighbor, and the same flags
-        # as (n, N, 2), the layout of the face tables
+        # (2N, n): the stencil sides that have a neighbor
         has = self._gather != nodes
-        has_side = has.reshape(2, N, n).transpose(2, 1, 0)
         # nodes with a missing neighbor take their outer face from the
         # normal diffusivity at the nearest boundary point
         edge = ~has.all(axis=0)
         foot, normal = geo.boundary_foot(self.domain, x[edge])
         off_diagonal = ~np.eye(N, dtype=bool)
         C = len(problem.controls)
-        self.b_raw = np.empty((C, n, N))
-        self.a_diag = np.empty((C, n, N))
         self.l = np.empty((C, n))
-        self.face = np.zeros((C, n, N, 2))
-        bt = np.empty((C, n, N))  # effective advection b - div(a); only the build reads it
+        # (n_controls, n, N, 2), the minus side first: face diffusivities
+        # towards existing neighbors, zero on a missing side
+        face = np.zeros((C, n, N, 2))
+        bt = np.empty((C, n, N))  # effective advection b - div(a)
         nu = np.zeros((C, n))
         # away from the nodes the build reads a_kk alone, from row k of sigma:
         # the full a is needed only at the nodes (the off-diagonal refusal)
@@ -194,45 +195,45 @@ class Grid:
                     f"control {control.label}: off-diagonal diffusion at node {i} "
                     f"(x={x[i].tolist()}, a={a[i].tolist()}); the scheme supports diagonal a only"
                 )
-            self.b_raw[ci] = problem.drift(x, ci)
+            b = problem.drift(x, ci)
             self.l[ci] = problem.cost(x, ci)
-            self.a_diag[ci] = np.diagonal(a, axis1=1, axis2=2)
             for k in range(N):
                 # centered difference of a_kk along axis k
                 xp, xm = x.copy(), x.copy()
                 xp[:, k] += fd_step
                 xm[:, k] -= fd_step
-                bt[ci, :, k] = self.b_raw[ci, :, k] - (a_kk(xp, ci, k) - a_kk(xm, ci, k)) / (2 * fd_step)
+                bt[ci, :, k] = b[:, k] - (a_kk(xp, ci, k) - a_kk(xm, ci, k)) / (2 * fd_step)
                 # face diffusivities at the midpoints towards existing neighbors
                 for side, sign in ((0, -1.0), (1, 1.0)):
                     inner = has[side * N + k]
                     xf = x[inner]
                     xf[:, k] += sign * h / 2
-                    self.face[ci, inner, k, side] = a_kk(xf, ci, k)
+                    face[ci, inner, k, side] = a_kk(xf, ci, k)
             nu[ci, edge] = quadratic_form(problem.diffusion(foot, ci), normal)
-            if not (
-                np.isfinite(self.b_raw[ci]).all()
-                and np.isfinite(self.a_diag[ci]).all()
-                and np.isfinite(self.l[ci]).all()
-            ):
+            # a is diagonal here, so its finiteness is its diagonal's
+            if not (np.isfinite(b).all() and np.isfinite(a).all() and np.isfinite(self.l[ci]).all()):
                 raise ConfigError(f"control {control.label}: coefficients evaluate non-finite")
 
-        small = (nu < h2)[:, :, None, None]
-        self.face_clamped = ~has_side & small
-        self.face_dropped = ~has_side & ~small
-        self.face = np.where(self.face_dropped, nu[:, :, None, None], self.face)
-        has_minus, has_plus = has_side[:, :, 0], has_side[:, :, 1]
-        updir = np.where(bt >= 0.0, 1, -1).astype(np.int64)
-        # flip the upwind side where its neighbor is missing
-        flip_to_plus = (updir == -1) & ~has_minus
-        flip_to_minus = (updir == 1) & ~has_plus
-        self.forced = (flip_to_plus | flip_to_minus) & (bt != 0.0)
-        updir[flip_to_plus] = 1
-        updir[flip_to_minus] = -1
-        self.updir = updir
-        drift_ok = np.where(updir == 1, has_plus, has_minus)
-        minus = -(self.face[..., 0] * has_minus) / h2 + np.where((updir == -1) & drift_ok, bt / h, 0.0)
-        plus = -(self.face[..., 1] * has_plus) / h2 + np.where((updir == 1) & drift_ok, -bt / h, 0.0)
+        has_minus, has_plus = has[:N].T, has[N:].T  # (n, N), as bt per control
+        # upwind on the plus side where bt >= 0, flipped where that
+        # neighbor is missing; a node missing both takes no drift term
+        up = bt >= 0.0
+        flip = np.where(up, ~has_plus, ~has_minus)
+        up ^= flip
+        minus = -face[..., 0] / h2 + np.where(~up & has_minus, bt / h, 0.0)
+        plus = -face[..., 1] / h2 + np.where(up & has_plus, -bt / h, 0.0)
+        # every missing side is a boundary face: clamped where the normal
+        # diffusivity is below h^2, an exterior reference otherwise (nu is
+        # zero at a node with no missing side)
+        missing = 2 * N - has.sum(axis=0)
+        clamped = nu < h2
+        exterior = ~clamped
+        self.closure = BoundaryClosure(
+            exterior_faces=int((exterior * missing).sum()),
+            first_exterior_node=int(np.argmax(exterior.any(axis=0))) if exterior.any() else None,
+            clamped_faces=int((clamped * missing).sum()),
+            forced_inward=int((flip & (bt != 0.0)).sum()),
+        )
         # the one coefficient table, (2N, n_controls, n) in the row order of
         # _gather; a missing side has coefficient zero
         self._coef = np.ascontiguousarray(np.concatenate([minus, plus], axis=2).transpose(2, 0, 1))
@@ -309,16 +310,17 @@ def require_no_boundary_data(grid: Grid) -> None:
     """Refuse a grid whose stencil needs boundary data.
 
     A boundary face whose normal diffusivity is at least h^2 is an exterior
-    reference (``face_dropped``): the scheme would treat it as zero flux,
-    which is a boundary condition the problem does not supply.  Raises
-    :class:`NumericalError` naming the count of such faces and the first
-    node that has one.
+    reference: the scheme would treat it as zero flux, which is a boundary
+    condition the problem does not supply.  Reads the build's
+    ``grid.closure`` and raises :class:`NumericalError` naming the count
+    of such faces and the first node that has one.
     """
-    if not grid.face_dropped.any():
+    closure = grid.closure
+    if not closure.exterior_faces:
         return
-    i = int(np.argmax(grid.face_dropped.any(axis=(0, 2, 3))))
+    i = closure.first_exterior_node
     raise NumericalError(
-        f"{int(grid.face_dropped.sum())} boundary faces keep a normal diffusivity of at "
+        f"{closure.exterior_faces} boundary faces keep a normal diffusivity of at "
         f"least h^2, first at node {i} (x={grid.x[i].tolist()}): the problem is not "
         "degenerate there and would need boundary data"
     )
@@ -427,7 +429,6 @@ class StencilReport:
     min_offdiagonal: float
     max_row_sum_error: float
     cfl_dt: float
-    per_node: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -440,7 +441,6 @@ class StencilReport:
             "min_offdiagonal": self.min_offdiagonal,
             "max_row_sum_error": self.max_row_sum_error,
             "cfl_dt": self.cfl_dt,
-            "per_node": self.per_node,
         }
 
 
@@ -456,9 +456,11 @@ def _row_sums(grid: Grid, matrix) -> np.ndarray:
     return np.bincount(matrix.indices, weights=matrix.data, minlength=grid.n)
 
 
-def stencil_report(grid: Grid, include_nodes: bool = False) -> StencilReport:
-    # off-diagonal coefficients of the monotone update are -coef
-    min_off = -float(grid._coef.max())
+def stencil_report(grid: Grid) -> StencilReport:
+    # off-diagonal entries of the monotone update are -coef, on the sides
+    # that have a neighbor
+    has = (grid._gather != np.arange(grid.n))[:, None]
+    min_off = -float(np.where(has, grid._coef, -np.inf).max())
     # relative residual of the zero-row-sum identity A[const] = 0, read off
     # each control's assembled generator
     row_err = 0.0
@@ -467,32 +469,15 @@ def stencil_report(grid: Grid, include_nodes: bool = False) -> StencilReport:
         total = _side_sums(grid, grid._coef[:, ci])
         err = np.abs(_row_sums(grid, matrix)) / (1.0 + np.abs(total))
         row_err = max(row_err, float(err.max()))
-    per_node = []
-    if include_nodes:
-        # node-major nested lists: [node][control] ...
-        columns = zip(
-            grid.updir.transpose(1, 0, 2).tolist(),
-            grid.face.transpose(1, 0, 2, 3).tolist(),
-            grid.forced.any(axis=2).T.tolist(),
-            grid.face_dropped.sum(axis=(2, 3)).T.tolist(),
-            _explicit_rates(grid).T.tolist(),
-        )
-        for i, (x, d, stencil) in enumerate(zip(grid.x.tolist(), grid.d.tolist(), columns)):
-            rows = [
-                {"control": ci, "upwind": up, "faces": faces, "forced_inward": forced,
-                 "exterior_faces": exterior, "cfl_rate": rate}
-                for ci, (up, faces, forced, exterior, rate) in enumerate(zip(*stencil))
-            ]
-            per_node.append({"node": i, "x": x, "d": d, "stencil": rows})
+    closure = grid.closure
     return StencilReport(
         n_nodes=grid.n,
         n_controls=grid.n_controls,
         h=grid.h,
-        exterior_reference_count=int(grid.face_dropped.sum()),
-        clamped_face_count=int(grid.face_clamped.sum()),
-        forced_inward_count=int(grid.forced.sum()),
+        exterior_reference_count=closure.exterior_faces,
+        clamped_face_count=closure.clamped_faces,
+        forced_inward_count=closure.forced_inward,
         min_offdiagonal=min_off,
         max_row_sum_error=row_err,
         cfl_dt=cfl_dt(grid),
-        per_node=per_node,
     )

@@ -174,7 +174,7 @@ def quadratic_form(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _preset_config(name: str, params: dict) -> dict:
     smooth_b, smooth_sigma = "1-2*x1", "x1*(1-x1)"
     if name == "constantL":
-        L = float(params.get("L", 1.0))
+        L = _read({"L": 1.0, **params}, "L", f"preset {name}", float)
         return {
             "domain": {"kind": "interval", "x_lo": 0.0, "x_hi": 1.0},
             "controls": [{"b": [smooth_b], "sigma": [[smooth_sigma]], "l": repr(L)}],
@@ -226,6 +226,14 @@ def _read(section: dict, key: str, where: str, convert=None):
         raise ConfigError(f"{where}: field {key!r} is malformed: {value!r}") from None
 
 
+def _require(value, kind: type, where: str):
+    """``value`` if it is a JSON object (``dict``) or list, as ``kind``
+    asks; otherwise :class:`ConfigError` naming ``where``."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} is not {'an object' if kind is dict else 'a list'}: {value!r}")
+    return value
+
+
 def assemble_problem(config: dict) -> ControlProblem:
     """Build a :class:`ControlProblem` from a configuration mapping.
 
@@ -234,6 +242,7 @@ def assemble_problem(config: dict) -> ControlProblem:
     ``regularity`` explicitly.  Expressions are parsed here; dimensional
     consistency (N drift components, N rows of sigma) is enforced.
     """
+    _require(config, dict, "configuration")
     name = ""
     if "preset" in config:
         name = config["preset"]
@@ -243,10 +252,10 @@ def assemble_problem(config: dict) -> ControlProblem:
             config.setdefault(key, expanded[key])
 
     try:
-        dom_cfg = config["domain"]
-        controls_cfg = config["controls"]
-        reg_cfg = config["regularity"]
-    except (KeyError, TypeError) as err:
+        dom_cfg = _require(config["domain"], dict, "config section 'domain'")
+        controls_cfg = _require(config["controls"], list, "config section 'controls'")
+        reg_cfg = _require(config["regularity"], dict, "config section 'regularity'")
+    except KeyError as err:
         raise ConfigError(f"configuration is missing section {err}") from None
 
     kind = dom_cfg.get("kind")
@@ -269,12 +278,12 @@ def assemble_problem(config: dict) -> ControlProblem:
 
     controls = []
     for idx, c in enumerate(controls_cfg):
-        label = c.get("label", f"alpha{idx + 1}")
+        label = _require(c, dict, f"control {idx + 1}").get("label", f"alpha{idx + 1}")
         where = f"control {label}"
         b_src = _read(c, "b", where)
         if not isinstance(b_src, list):
             b_src = [b_src]
-        sigma_src = _read(c, "sigma", where)
+        sigma_src = _require(_read(c, "sigma", where), list, f"{where}: field 'sigma'")
         if sigma_src and not isinstance(sigma_src[0], list):
             sigma_src = [sigma_src]
         l_src = _read(c, "l", where)
@@ -287,7 +296,7 @@ def assemble_problem(config: dict) -> ControlProblem:
                 f"control {label}: sigma has {len(sigma_src)} rows, domain dimension is {n}"
             )
         width = len(sigma_src[0])
-        if width < 1 or any(len(row) != width for row in sigma_src):
+        if width < 1 or any(not isinstance(row, list) or len(row) != width for row in sigma_src):
             raise ConfigError(f"control {label}: sigma rows must share one positive length")
 
         def _parse(src: str, key: str) -> ex.Expr:

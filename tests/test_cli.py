@@ -82,6 +82,17 @@ def _edited(edit) -> dict:
     ("validate", _edited(lambda c: c["controls"][0].update(l=5)), "control alpha1: field 'l' holds 5"),
     ("ergodic", _edited(lambda c: c.update(grid={"h": "abc"})), "grid: field 'h' is malformed: 'abc'"),
     ("ergodic", _edited(lambda c: c.update(grid=[1])), "config field 'grid' is not an object"),
+    # a section, a control or sigma of the wrong JSON type is refused before it is read
+    ("validate", [helpers.sigma_one_config()], "configuration is not an object: [{"),
+    ("validate", _edited(lambda c: c.update(domain=[1])), "config section 'domain' is not an object: [1]"),
+    ("validate", _edited(lambda c: c.update(controls=[5])), "control 1 is not an object: 5"),
+    ("validate", _edited(lambda c: c.update(controls={"a": 1})),
+     "config section 'controls' is not a list: {'a': 1}"),
+    ("validate", _edited(lambda c: c["controls"][0].update(sigma=5)),
+     "control alpha1: field 'sigma' is not a list: 5"),
+    ("validate", _edited(lambda c: c.update(regularity=[1])),
+     "config section 'regularity' is not an object: [1]"),
+    ("validate", {"preset": "constantL", "L": "abc"}, "preset constantL: field 'L' is malformed: 'abc'"),
 ])
 def test_malformed_config_field_exits_two(tmp_path, capsys, command, cfg, message):
     import hjblab.cli as cli

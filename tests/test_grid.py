@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,9 @@ import helpers
 import hjblab as hj
 from hjblab.cauchy import initial_state
 from hjblab.errors import ConfigError
-from hjblab.grid import control_values, frozen_matrix, maximizing_policy, stencil_report
+from hjblab.geometry import boundary_foot, diameter
+from hjblab.grid import BoundaryClosure, control_values, frozen_matrix, maximizing_policy, stencil_report
+from hjblab.problem import quadratic_form
 
 
 def test_interval_nodes():
@@ -57,17 +62,34 @@ def test_disk_neighbors_match_brute_force():
 
 def test_grid_tables_are_read_only():
     # the frozen_factor cache is keyed on the policy and the scalars alone,
-    # so no table it reads may change after the build
+    # so no table it reads may change after the build; and the grid keeps
+    # only the tables the solvers read
     disk = hj.build_grid(hj.assemble_problem(helpers.disk_config()), 0.125)
-    for g in (helpers.grid("twoControlA", 0.05), disk):
-        tables = [value for value in vars(g).values() if isinstance(value, np.ndarray)]
-        assert not any(table.flags.writeable for table in tables)
+    solver_tables = {"x", "d", "l", "_gather", "_coef"}
+    csc = {"_csc_take", "_csc_indices", "_csc_indptr"}
+    for g, names in ((helpers.grid("twoControlA", 0.05), solver_tables), (disk, solver_tables | csc)):
+        tables = {name: value for name, value in vars(g).items() if isinstance(value, np.ndarray)}
+        assert set(tables) == names
+        assert not any(table.flags.writeable for table in tables.values())
         for table in (g._coef, g.l, g._gather):
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 1
     for table in (disk._csc_take, disk._csc_indices, disk._csc_indptr):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
+
+
+def test_only_the_grid_module_names_its_tables_and_boundary_record():
+    # the stencil layout, the CSC pattern and the boundary record are
+    # private to hjblab.grid: every other module goes through its functions
+    tables = ("_gather", "_coef", "_csc_take", "_csc_indices", "_csc_indptr")
+    private = re.compile(r"\b(?:%s)\b|\.closure\b" % "|".join(tables + BoundaryClosure._fields))
+    for path in sorted(pathlib.Path(hj.__file__).parent.glob("*.py")):
+        named = set(private.findall(path.read_text()))
+        if path.name == "grid.py":
+            assert named == {*tables, *BoundaryClosure._fields, ".closure"}
+        else:
+            assert not named, path.name
 
 
 def _dense(grid, matrix):
@@ -122,31 +144,94 @@ def test_control_values_match_per_node_reference():
             assert np.array_equal(control_values(g, u), ref), (g.problem.fingerprint(), scale)
 
 
+def _per_node_stencil(p, h):
+    """The stencil coefficients (2N, n_controls, n) and the boundary record,
+    node by node from the pointwise API: the upwinded drift b - div(a) with
+    a_kk differenced at x +- fd_step, the face diffusivities a_kk at the
+    midpoints towards existing neighbors, and the normal diffusivity at the
+    boundary foot of a node with a missing neighbor."""
+    g = hj.build_grid(p, h)
+    N, fd_step = g.ndim, 1e-6 * diameter(p.domain)
+    coef = np.zeros((2 * N, g.n_controls, g.n))
+    exterior, clamped, forced, first = 0, 0, 0, None
+    for i in range(g.n):
+        x = g.x[i]
+        has = [[g._gather[side * N + k, i] != i for side in (0, 1)] for k in range(N)]
+        missing = 2 * N - sum(map(sum, has))
+        for ci in range(g.n_controls):
+            if missing:
+                foot, normal = boundary_foot(p.domain, x)
+                if quadratic_form(p.diffusion(foot, ci), normal) < h * h:
+                    clamped += missing
+                else:
+                    exterior += missing
+                    first = i if first is None else first
+            b = p.drift(x, ci)
+            for k in range(N):
+                xp, xm = x.copy(), x.copy()
+                xp[k] += fd_step
+                xm[k] -= fd_step
+                div = (p.diffusion_diagonal(xp, ci, k) - p.diffusion_diagonal(xm, ci, k)) / (2 * fd_step)
+                bt = b[k] - div
+                up = 1 if bt >= 0.0 else 0  # the upwind side, flipped where its neighbor is missing
+                if not has[k][up]:
+                    forced += bt != 0.0
+                    up = 1 - up
+                for side, sign in ((0, -1.0), (1, 1.0)):
+                    if has[k][side]:
+                        xf = x.copy()
+                        xf[k] += sign * h / 2
+                        value = -p.diffusion_diagonal(xf, ci, k) / h**2
+                        value += (bt if side == 0 else -bt) / h if side == up else 0.0
+                        coef[side * N + k, ci, i] = value
+    return g, coef, BoundaryClosure(exterior, first, clamped, forced)
+
+
 def test_cached_coefficients_match_direct_evaluation():
-    # one evaluator: the grid caches equal the pointwise API bit for bit,
-    # also for fractional powers (degenerateB: 0.4 and 0.75) and on a disk,
-    # at the nodes and at the faces on both sides
+    # one evaluator: the cached costs and stencil coefficients, and the
+    # boundary record, equal the per-node pointwise reference bit for bit,
+    # also for fractional powers (degenerateB: 0.4 and 0.75), on a disk and
+    # on a grid with exterior faces
     cases = [
         (helpers.problem("twoControlA"), 0.05),
         (helpers.problem("degenerateB"), 0.05),
         (hj.assemble_problem(helpers.disk_config()), 0.125),
         # anisotropic: a face of axis k must read row k of sigma, not another
         (hj.assemble_problem(helpers.two_control_disk_config()), 0.125),
+        (hj.assemble_problem(helpers.sigma_one_config()), 0.05),
     ]
     for p, h in cases:
-        g = hj.build_grid(p, h)
+        g, coef, closure = _per_node_stencil(p, h)
         for ci in range(g.n_controls):
             for i in range(g.n):
                 assert g.l[ci, i] == p.cost(g.x[i], ci)
-                assert np.array_equal(g.b_raw[ci, i], p.drift(g.x[i], ci))
-                a = p.diffusion(g.x[i], ci)
-                assert np.array_equal(g.a_diag[ci, i], np.diagonal(a))
-                for k in range(g.ndim):
-                    for side, offset in ((0, -h / 2), (1, h / 2)):
-                        if g._gather[side * g.ndim + k, i] != i:
-                            xf = g.x[i].copy()
-                            xf[k] += offset
-                            assert g.face[ci, i, k, side] == p.diffusion(xf, ci)[k, k]
+        assert np.array_equal(g._coef, coef), (p.fingerprint(), h)
+        assert g.closure == closure, (p.fingerprint(), h)
+
+
+def _constant_sigma_config() -> dict:
+    cfg = helpers.sigma_one_config()
+    cfg["controls"][0]["sigma"] = [["0.01"]]
+    return cfg
+
+
+@pytest.mark.parametrize("config, h, exterior, clamped, forced", [
+    ({"preset": "smoothA"}, 0.01, 0, 2, 0),
+    ({"preset": "degenerateB"}, 0.05, 0, 2, 2),
+    (helpers.sigma_one_config(), 0.01, 2, 0, 0),
+    # sigma = 0.01: a normal diffusivity of exactly h^2 survives the clamp
+    (_constant_sigma_config(), 0.01, 2, 0, 0),
+    (_constant_sigma_config(), 0.02, 0, 2, 0),
+    (helpers.disk_config(), 0.05, 0, 156, 0),
+    (helpers.two_control_disk_config(), 0.1, 0, 152, 44),
+], ids=["smoothA", "degenerateB", "sigma_one", "sigma_h", "sigma_h/2", "disk", "two_control_disk"])
+def test_boundary_record_counts(config, h, exterior, clamped, forced):
+    # the counts the per-face tables of earlier builds gave on these grids
+    g = hj.build_grid(hj.assemble_problem(config), h)
+    assert g.closure == BoundaryClosure(exterior, 0 if exterior else None, clamped, forced)
+    rep = stencil_report(g)
+    assert (rep.exterior_reference_count, rep.clamped_face_count, rep.forced_inward_count) == (
+        exterior, clamped, forced)
 
 
 def test_upwind_drift_is_b_minus_div_a():
@@ -158,7 +243,11 @@ def test_upwind_drift_is_b_minus_div_a():
     for ci in range(g.n_controls):
         for k in range(g.ndim):
             inner = (g._gather[[k, g.ndim + k]] != np.arange(g.n)).all(axis=0)
-            faces = g.face[ci, inner, k].sum(axis=1) / h**2
+            faces = 0.0
+            for sign in (-1.0, 1.0):
+                xf = g.x[inner].copy()
+                xf[:, k] += sign * h / 2
+                faces += p.diffusion(xf, ci)[:, k, k] / h**2
             recovered = -h * (g._coef[k, ci, inner] + g._coef[g.ndim + k, ci, inner] + faces)
             xp, xm = g.x[inner].copy(), g.x[inner].copy()
             xp[:, k] += step
@@ -283,7 +372,7 @@ def test_stencil_closure_on_presets():
         rep = stencil_report(helpers.grid(name, 0.01))
         assert rep.exterior_reference_count == 0, name
         assert rep.forced_inward_count == 0, name
-        assert rep.min_offdiagonal >= 0.0, name
+        assert rep.min_offdiagonal > 0.0, name
         assert rep.max_row_sum_error < 1e-12, name
 
 
@@ -300,9 +389,12 @@ def test_exterior_references_without_degeneracy():
 
 
 def test_stencil_report_serializes():
-    rep = stencil_report(helpers.grid("smoothA", 0.1), include_nodes=True)
-    blob = rep.to_dict()
-    assert len(blob["per_node"]) == 9
+    blob = stencil_report(helpers.grid("smoothA", 0.1)).to_dict()
+    assert set(blob) == {
+        "n_nodes", "n_controls", "h", "exterior_reference_count", "clamped_face_count",
+        "forced_inward_count", "min_offdiagonal", "max_row_sum_error", "cfl_dt",
+    }
+    assert blob["n_nodes"] == 9
     assert blob["cfl_dt"] > 0
 
 
