@@ -24,7 +24,7 @@ from . import __version__
 from . import analysis, barriers, cauchy, ergodic, iotools
 from .errors import ConfigError, NumericalError
 from .grid import build_grid, stencil_report
-from .problem import SamplingPlan, assemble_problem, validate_assumptions
+from .problem import SamplingPlan, as_number, assemble_problem, validate_assumptions
 
 DEFAULT_H = 1e-2
 ERGODIC_METHODS = ("policy", "rvi")  # ergodic.solve_ergodic_<method>
@@ -54,7 +54,7 @@ def _grid_h(config: dict, args) -> float:
     if not isinstance(grid, dict):
         raise ConfigError(f"config field 'grid' is not an object: {grid!r}")
     try:
-        return float(grid.get("h", DEFAULT_H))
+        return as_number(grid.get("h", DEFAULT_H))
     except (TypeError, ValueError):
         raise ConfigError(f"grid: field 'h' is malformed: {grid['h']!r}") from None
 

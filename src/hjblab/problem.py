@@ -174,7 +174,7 @@ def quadratic_form(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _preset_config(name: str, params: dict) -> dict:
     smooth_b, smooth_sigma = "1-2*x1", "x1*(1-x1)"
     if name == "constantL":
-        L = _read({"L": 1.0, **params}, "L", f"preset {name}", float)
+        L = _read({"L": 1.0, **params}, "L", f"preset {name}", as_number)
         return {
             "domain": {"kind": "interval", "x_lo": 0.0, "x_hi": 1.0},
             "controls": [{"b": [smooth_b], "sigma": [[smooth_sigma]], "l": repr(L)}],
@@ -208,6 +208,14 @@ def _preset_config(name: str, params: dict) -> dict:
             "regularity": {"B": 4.0, "eta": 1.0, "beta": 1.0},
         }
     raise ConfigError(f"unknown preset {name!r}")
+
+
+def as_number(value) -> float:
+    """``float(value)`` for a number read from JSON; a JSON boolean, which
+    ``float`` would take as 0.0 or 1.0, raises :class:`TypeError`."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _read(section: dict, key: str, where: str, convert=None):
@@ -261,12 +269,12 @@ def assemble_problem(config: dict) -> ControlProblem:
     kind = dom_cfg.get("kind")
     if kind == "interval":
         domain: geo.Domain = geo.Interval(
-            _read(dom_cfg, "x_lo", "domain", float), _read(dom_cfg, "x_hi", "domain", float)
+            _read(dom_cfg, "x_lo", "domain", as_number), _read(dom_cfg, "x_hi", "domain", as_number)
         )
     elif kind == "disk":
         domain = geo.Disk(
-            _read(dom_cfg, "center", "domain", lambda v: tuple(float(c) for c in v)),
-            _read(dom_cfg, "radius", "domain", float),
+            _read(dom_cfg, "center", "domain", lambda v: tuple(as_number(c) for c in v)),
+            _read(dom_cfg, "radius", "domain", as_number),
         )
     else:
         raise ConfigError(f"unknown domain kind {kind!r}")
@@ -323,7 +331,9 @@ def assemble_problem(config: dict) -> ControlProblem:
             )
         )
 
-    reg = RegularityConstants(*(_read(reg_cfg, key, "regularity", float) for key in ("B", "eta", "beta")))
+    reg = RegularityConstants(
+        *(_read(reg_cfg, key, "regularity", as_number) for key in ("B", "eta", "beta"))
+    )
     return ControlProblem(domain=domain, controls=tuple(controls), reg=reg, name=name)
 
 

@@ -93,6 +93,13 @@ def _edited(edit) -> dict:
     ("validate", _edited(lambda c: c.update(regularity=[1])),
      "config section 'regularity' is not an object: [1]"),
     ("validate", {"preset": "constantL", "L": "abc"}, "preset constantL: field 'L' is malformed: 'abc'"),
+    # a JSON boolean is not a number, although float(True) is 1.0
+    ("validate", _edited(lambda c: c["domain"].update(x_lo=True)), "domain: field 'x_lo' is malformed: True"),
+    ("validate", dict(helpers.disk_config(), domain={"kind": "disk", "center": [0.0, 0.0], "radius": True}),
+     "domain: field 'radius' is malformed: True"),
+    ("validate", _edited(lambda c: c["regularity"].update(B=True)), "regularity: field 'B' is malformed: True"),
+    ("validate", {"preset": "constantL", "L": True}, "preset constantL: field 'L' is malformed: True"),
+    ("ergodic", _edited(lambda c: c.update(grid={"h": True})), "grid: field 'h' is malformed: True"),
 ])
 def test_malformed_config_field_exits_two(tmp_path, capsys, command, cfg, message):
     import hjblab.cli as cli
@@ -370,8 +377,22 @@ def test_solve_overflowing_implicit_step_exits_one(tmp_path):
                   "--T", "30", "--out", str(out))
     assert res.returncode == 1
     # the one error line, with no numpy overflow warning before it
-    assert res.stderr == "numerical failure: non-finite value at node 0 (x=[0.01])\n"
+    assert res.stderr == "numerical failure: non-finite value at node 0 (x=[0.01]), t=10.0\n"
     # the initial snapshot was streamed before the failure and is removed again
+    assert not out.exists()
+
+
+def test_solve_overflowing_implicit_step_names_its_time(tmp_path):
+    # the first step already overflows: the error names the time it was to reach
+    cfg = helpers.overflowing_config()
+    cfg["controls"][0]["l"] = "1e300*(1+x1)"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    res = run_cli("solve", str(path), "--mode", "implicit", "--h", "0.1", "--dt", "1e10",
+                  "--T", "2e10", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr == "numerical failure: non-finite value at node 0 (x=[0.1]), t=10000000000.0\n"
     assert not out.exists()
 
 
