@@ -12,18 +12,11 @@ grid whose stencil would need boundary data is refused
   solve for the frozen controls); each frozen-control matrix is an
   M-matrix, so the step is monotone for any step size.
 
-An implicit step costs one frozen solve and one evaluation of the
-per-control operator values per Howard sweep.  Its first sweep freezes
-the policy the step before ended on, carried in ``CauchyState.policy``:
-that is the argmax of the operator values at the same field, which the
-previous step has already computed, so this warm start (Howard,
-*Dynamic Programming and Markov Processes*, 1960; Bokanowski, Maroso
-and Zidani, SIAM J. Numer. Anal. 47, 2009) changes no bit.  Only
-the first step of a march, or a step from any state that carries no
-policy, derives it from the field.  With one control there is no policy
-to improve, and the step is the one solve alone: no operator values, no
-residual.  A policy is valid only for the field it was computed from,
-so every field :func:`march` yields is read-only.
+An implicit step with one control has no policy to improve, so the
+step is one frozen solve and nothing else: no per-control operator
+values, no argmax and no residual.  With more controls a step of k
+Howard sweeps costs k frozen solves and k + 1 evaluations of the
+operator values, one for the starting policy.
 
 :func:`march` is the one stepping loop and the only evolution API: a
 generator that yields the initial state and then the state at each
@@ -107,7 +100,6 @@ from .grid import (
     Grid,
     GridField,
     apply_H,
-    argmax_controls,
     cfl_dt,
     control_values,
     frozen_matrix,
@@ -138,20 +130,12 @@ HOWARD_RESIDUAL_TOL = 1e-12  # relative to the data size
 
 @dataclass
 class CauchyState:
-    """A field ``u`` at time ``t`` with the data of the a-priori bound,
-    the steps taken, the Howard sweeps of the implicit step that produced
-    it and, for such a step, its final ``policy``: the maximizing controls
-    at ``u``, with which the next implicit step starts.  Every other state
-    (:func:`initial_state`, an explicit step) has no policy.  A state that
-    :func:`march` yields holds a read-only ``u``."""
-
     t: float
     u: GridField
     u0_sup: float
     l_sup: float
     step_count: int = 0
     sweeps: int = 0  # Howard sweeps of the implicit step that produced this state
-    policy: np.ndarray | None = None  # the maximizing controls at u, or None
 
     def check_bound(self):
         bound = self.u0_sup + self.l_sup * self.t
@@ -300,60 +284,48 @@ def frozen_factor(
     return factor
 
 
-def howard_solve(
-    grid: Grid, u_old: GridField, dt: float, policy: np.ndarray | None = None
-) -> tuple[GridField, int, float | None, np.ndarray]:
+def howard_solve(grid: Grid, u_old: GridField, dt: float) -> tuple[GridField, int, float | None]:
     """Solve the backward Euler step u + dt H[u] = u_old by policy iteration.
 
-    Alternates (a) a solve with the :func:`frozen_factor` of the frozen
-    controls with (b) the per-node maximizing control of its solution
-    (:func:`hjblab.grid.argmax_controls` of one :func:`control_values`),
-    until the policy is stationary or the nonlinear residual
+    Alternates (a) the per-node maximizing control for the current
+    iterate with (b) a solve with the :func:`frozen_factor` of the frozen
+    controls, until the policy is stationary or the nonlinear residual
     ``|u + dt H[u] - u_old|`` drops below ``HOWARD_RESIDUAL_TOL`` (scaled
     by the data size), for at most ``MAX_HOWARD_SWEEPS`` sweeps.  A
     stationary policy means the last solve already satisfies the Bellman
-    step up to linear-solve roundoff.
-
-    The first sweep freezes ``policy``, which must be the maximizing
-    controls at ``u_old``; without one they are computed here.  A march
-    passes the policy its last step returned, which is that argmax at the
-    same field, so a warm start changes no bit.  With one control there
-    is no policy to improve: the first solve is the step, returned once
-    it is checked finite, and no operator value, residual or data scale is
+    step up to linear-solve roundoff.  With one control there is no
+    policy to improve: the first solve is the step, returned once it is
+    checked finite, and no operator value, residual or data scale is
     computed.
 
-    Returns (solution, sweeps used, final residual, final policy); the
-    residual is None ("not computed") with one control, and the policy is
-    the maximizing controls at the solution.  A grid that needs boundary
-    data and a solve that is not finite raise :class:`NumericalError`.
+    Returns (solution, sweeps used, final residual); the residual is None
+    ("not computed") with one control.  A grid that needs boundary data
+    and a solve that is not finite raise :class:`NumericalError`.
     """
     if not dt > 0:
         raise ConfigError("dt must be positive")
     require_no_boundary_data(grid)
     if grid.n_controls == 1:
-        policy = np.zeros(grid.n, dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to _check_finite
-            u = frozen_factor(grid, policy, scale=dt, shift=1.0).solve(u_old + dt * grid.l[0])
+            u = frozen_factor(grid, np.zeros(grid.n, dtype=np.intp), scale=dt, shift=1.0).solve(
+                u_old + dt * grid.l[0]
+            )
         _check_finite(grid, u)
-        return u, 1, None, policy
+        return u, 1, None
     scale = max(1.0, float(np.abs(u_old).max()), grid.l_sup() * dt)
-    nodes = np.arange(grid.n)
-    # an overflowing solve is left to _check_finite, and the operator
-    # values of a finite field may overflow without a numpy warning, as
-    # they may in the explicit step
-    with np.errstate(over="ignore", invalid="ignore"):
-        if policy is None:
-            policy = argmax_controls(control_values(grid, u_old))
-        for sweep in range(1, MAX_HOWARD_SWEEPS + 1):
-            rhs = u_old + dt * grid.l[policy, nodes]
+    policy = np.argmax(control_values(grid, u_old), axis=0)
+    last_residual = np.inf
+    for sweep in range(1, MAX_HOWARD_SWEEPS + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to _check_finite
+            rhs = u_old + dt * grid.l[policy, np.arange(grid.n)]
             u = frozen_factor(grid, policy, scale=dt, shift=1.0).solve(rhs)
-            _check_finite(grid, u)
-            vals = control_values(grid, u)
-            new_policy = argmax_controls(vals)
-            last_residual = float(np.abs(u + dt * np.max(vals, axis=0) - u_old).max())
-            if np.array_equal(new_policy, policy) or last_residual <= HOWARD_RESIDUAL_TOL * scale:
-                return u, sweep, last_residual, new_policy
-            policy = new_policy
+        _check_finite(grid, u)
+        vals = control_values(grid, u)
+        new_policy = np.argmax(vals, axis=0)
+        last_residual = float(np.abs(u + dt * np.max(vals, axis=0) - u_old).max())
+        if np.array_equal(new_policy, policy) or last_residual <= HOWARD_RESIDUAL_TOL * scale:
+            return u, sweep, last_residual
+        policy = new_policy
     raise NumericalError(
         f"policy iteration did not settle in {MAX_HOWARD_SWEEPS} sweeps "
         f"(residual {last_residual:.3e})"
@@ -362,18 +334,15 @@ def howard_solve(
 
 def step_implicit_policy(grid: Grid, state: CauchyState, dt: float) -> CauchyState:
     """One backward Euler step by Howard policy iteration; monotone for
-    any dt because each frozen-control matrix is an M-matrix.
-
-    Starts from ``state.policy`` when the state carries one, and stores
-    the final policy in the new state.  A failed solve raises
-    :class:`NumericalError` naming the time the step was to reach.
-    """
+    any dt because each frozen-control matrix is an M-matrix.  A failed
+    solve raises :class:`NumericalError` naming the time the step was to
+    reach."""
     t = state.t + dt
     try:
-        u, sweeps, _, policy = howard_solve(grid, state.u, dt, state.policy)
+        u, sweeps, _ = howard_solve(grid, state.u, dt)
     except NumericalError as err:
         raise NumericalError(f"{err}, t={t}") from None
-    return CauchyState(t, u, state.u0_sup, state.l_sup, state.step_count + 1, sweeps, policy)
+    return CauchyState(t, u, state.u0_sup, state.l_sup, state.step_count + 1, sweeps)
 
 
 def _check_finite(grid: Grid, u: GridField, t: float | None = None) -> None:
@@ -490,11 +459,8 @@ def march(
     window is checked once, at its end), and the a-priori bound is
     checked at every snapshot.  A grid that needs boundary data is
     refused.  Each step returns new arrays, so a yielded ``state.u`` may
-    be kept as it is; it is read-only, since an implicit state's
-    ``policy`` belongs to it and the next step starts from that policy.
-    Each implicit step starts from the policy of the step before it,
-    except the first, and a problem with one control costs one solve per
-    step (:func:`howard_solve`).
+    be kept as it is.  An implicit step of a problem with one control
+    costs one solve (:func:`howard_solve`).
 
     If ``metadata`` is given, march records the run in it: the problem
     fingerprint, ``h``, ``dt`` (the requested or default step), ``mode``,
@@ -522,21 +488,18 @@ def march(
     if implicit:
         record.update(howard_sweeps=0, max_howard_sweeps=0, factorizations=0)
     factorizations = grid.factorizations
-    state.u.flags.writeable = False
     yield state
     for js in range(1, plan.snapshots + 1):
         count, sub = plan.full if js < plan.snapshots else plan.last
-        if implicit:
-            # each step checks its own solve and starts from the policy the
-            # step before it returned
-            for _ in range(count):
-                state = step_implicit_policy(grid, state, sub)
-                record["howard_sweeps"] += state.sweeps
-                record["max_howard_sweeps"] = max(record["max_howard_sweeps"], state.sweeps)
-        else:
-            # an overflowing step is reported by _check_finite, not by a numpy warning;
-            # one errstate per window: one per explicit step adds about 14% to the step
-            with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing step is reported by _check_finite, not by a numpy warning;
+        # one errstate per window: one per explicit step adds about 14% to the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            if implicit:
+                for _ in range(count):  # each step checks its own solve
+                    state = step_implicit_policy(grid, state, sub)
+                    record["howard_sweeps"] += state.sweeps
+                    record["max_howard_sweeps"] = max(record["max_howard_sweeps"], state.sweeps)
+            else:
                 u = _explicit_window(grid, state.u, count, sub)
                 if not np.isfinite(u).all():
                     # a non-finite entry stays non-finite, so the stepwise
@@ -544,11 +507,10 @@ def march(
                     for _ in range(count):
                         state = step_explicit(grid, state, sub)
                         _check_finite(grid, state.u, state.t)
-            state = CauchyState(state.t, u, state.u0_sup, state.l_sup, state.step_count + count)
+                state = CauchyState(state.t, u, state.u0_sup, state.l_sup, state.step_count + count)
         state.t = min(js * plan.every, T)  # the target, without accumulated drift
         state.check_bound()
         record["steps"] = state.step_count
         if implicit:
             record["factorizations"] = grid.factorizations - factorizations
-        state.u.flags.writeable = False
         yield state

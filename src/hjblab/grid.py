@@ -326,33 +326,9 @@ def require_no_boundary_data(grid: Grid) -> None:
     )
 
 
-def argmax_controls(vals: np.ndarray) -> np.ndarray:
-    """Per-node index of the largest of the (n_controls, n) ``vals``; ties
-    resolve to the lowest index.
-
-    One pass over controls 1..C-1 with a strict ``>``, each row compared
-    with the best so far; one control costs one array of zeros.  Where
-    ``vals`` holds no NaN this is ``np.argmax(vals, axis=0)``, at a
-    fraction of its cost on the few rows of a control table: numpy copies
-    the table transposed and takes one argmax of C values per node.  The
-    callers pass the values of a finite field (:func:`maximizing_policy`
-    in the ergodic policy solver, :func:`hjblab.cauchy.howard_solve` after
-    its finiteness check); a NaN, which ``np.argmax`` would pick, never
-    wins a strict comparison here.
-    """
-    policy = np.zeros(vals.shape[1], dtype=np.intp)
-    best = vals[0]
-    for c in range(1, len(vals)):
-        np.copyto(policy, c, where=vals[c] > best)
-        if c + 1 < len(vals):
-            best = np.maximum(best, vals[c])
-    return policy
-
-
 def maximizing_policy(grid: Grid, u: GridField) -> np.ndarray:
-    """Per-node maximizing control index of the finite field ``u``
-    (:func:`argmax_controls`); ties resolve to the lowest index."""
-    return argmax_controls(control_values(grid, u))
+    """Per-node maximizing control index; ties resolve to the lowest index."""
+    return np.argmax(control_values(grid, u), axis=0)
 
 
 def _side_sums(grid: Grid, coef: np.ndarray) -> np.ndarray:

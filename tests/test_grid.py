@@ -9,14 +9,7 @@ import hjblab as hj
 from hjblab.cauchy import initial_state
 from hjblab.errors import ConfigError
 from hjblab.geometry import boundary_foot, diameter
-from hjblab.grid import (
-    BoundaryClosure,
-    argmax_controls,
-    control_values,
-    frozen_matrix,
-    maximizing_policy,
-    stencil_report,
-)
+from hjblab.grid import BoundaryClosure, control_values, frozen_matrix, maximizing_policy, stencil_report
 from hjblab.problem import quadratic_form
 
 
@@ -436,20 +429,6 @@ def test_policy_ties_resolve_to_lowest_index():
     vals = control_values(g, u)
     assert np.array_equal(vals[0], vals[1])
     assert np.array_equal(maximizing_policy(g, u), np.zeros(g.n, dtype=np.int64))
-
-
-@pytest.mark.parametrize("C", [1, 2, 3, 4])
-def test_argmax_controls_is_numpy_argmax(C):
-    # copied rows and values on a coarse lattice make ties at many nodes,
-    # which both resolve to the lowest index
-    rng = np.random.default_rng(30 + C)
-    for trial in range(20):
-        vals = rng.integers(-3, 4, size=(C, 257)).astype(float)
-        if C > 1:
-            vals[rng.integers(1, C)] = vals[rng.integers(0, C)]
-        got = argmax_controls(vals)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, np.argmax(vals, axis=0)), trial
 
 
 def test_disk_apply_constant():
