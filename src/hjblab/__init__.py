@@ -23,7 +23,6 @@ from .analysis import (
 )
 from .barriers import (
     BarrierCertificate,
-    BarrierSpec,
     eval_F_radial,
     find_barrier_delta,
     find_lyapunov_delta,
@@ -51,7 +50,6 @@ from .problem import (
 
 __all__ = [
     "BarrierCertificate",
-    "BarrierSpec",
     "CauchyState",
     "ConfigError",
     "ControlProblem",

@@ -50,20 +50,6 @@ class EnvelopeReport:
     certified_delta: float | None = None
     certified: bool | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "delta": self.delta,
-            "lower_violation": self.lower_violation,
-            "upper_violation": self.upper_violation,
-            "checked_at_t": self.checked_at_t,
-            "rim_min": self.rim_min,
-            "rim_max": self.rim_max,
-            "n_nodes": self.n_nodes,
-            "certified_delta": self.certified_delta,
-            "certified": self.certified,
-        }
-
     @property
     def violation(self) -> float:
         return max(self.lower_violation, self.upper_violation)
@@ -157,19 +143,6 @@ class HolderFit:
     lipschitz_consistent: bool
     flat: bool = False
     n_samples: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "exponent": self.exponent,
-            "uncapped_slope": self.uncapped_slope,
-            "fit_range": list(self.fit_range),
-            "r_squared": self.r_squared,
-            "boundary_limit_value": self.boundary_limit_value,
-            "lipschitz_consistent": self.lipschitz_consistent,
-            "flat": self.flat,
-            "n_samples": self.n_samples,
-        }
 
 
 def _side_profile(grid: Grid, chi: GridField, side: str):
@@ -267,16 +240,6 @@ class ConvergenceReport:
     K: float
     uniform_error: list[float]
     metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "times": self.times,
-            "inf_gap": self.inf_gap,
-            "sup_gap": self.sup_gap,
-            "K": self.K,
-            "uniform_error": self.uniform_error,
-            "metadata": self.metadata,
-        }
 
 
 def _brackets(grid: Grid, states: Iterable[CauchyState], pair: ErgodicPair):

@@ -78,35 +78,19 @@ class CallableProfile:
         self.value, self.d1, self.d2 = g, g1, g2
 
 
-@dataclass(frozen=True)
-class BarrierSpec:
-    family: str          # "lyapunov" or "barrier"
-    param: float         # lambda or rho
-    M: float
-
-    def __post_init__(self):
-        if self.family not in ("lyapunov", "barrier"):
-            raise ConfigError(f"unknown certificate family {self.family!r}")
-
-
 @dataclass
 class BarrierCertificate:
-    spec: BarrierSpec
+    """A collar on which F[g] <= -M holds at every sample, for the profile
+    of ``family`` with parameter ``param``.  ``certificate.json`` is this
+    record, field for field."""
+
+    family: str          # "lyapunov" or "barrier", from the profile's type
+    param: float         # lambda or rho
+    M: float
     delta: float
     margin: float                      # max over samples of F[g] + M, <= 0
     witness_table: list = field(default_factory=list)  # (d, F) rows
     theoretical_margin: float | None = None            # barrier family only
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.spec.family,
-            "param": self.spec.param,
-            "M": self.spec.M,
-            "delta": self.delta,
-            "margin": self.margin,
-            "theoretical_margin": self.theoretical_margin,
-            "witness_table": [[float(d), float(v)] for d, v in self.witness_table],
-        }
 
 
 def eval_F_radial(problem: ControlProblem, profile, x):
@@ -177,12 +161,11 @@ def _scan_delta(problem, profile, M, grid_step, theoretical=None):
     theo = None
     if theoretical is not None:
         theo = float(theoretical(ds[ds < delta]).max() + M)
+    lyapunov = isinstance(profile, LyapunovProfile)
     return BarrierCertificate(
-        spec=BarrierSpec(
-            family="lyapunov" if isinstance(profile, LyapunovProfile) else "barrier",
-            param=profile.lam if isinstance(profile, LyapunovProfile) else profile.rho,
-            M=M,
-        ),
+        family="lyapunov" if lyapunov else "barrier",
+        param=profile.lam if lyapunov else profile.rho,
+        M=M,
         delta=float(delta),
         margin=margin,
         witness_table=table,

@@ -59,7 +59,7 @@ def _grid_h(config: dict, args) -> float:
         raise ConfigError(f"grid: field 'h' is malformed: {grid['h']!r}") from None
 
 
-def _manifest(args, config: dict, extra: dict) -> dict:
+def _write_manifest(out: str, args, config: dict, extra: dict) -> None:
     manifest = {
         "command": args.command,
         "config_path": args.config,
@@ -69,7 +69,7 @@ def _manifest(args, config: dict, extra: dict) -> dict:
         "seed": getattr(args, "seed", None),
     }
     manifest.update(extra)
-    return manifest
+    iotools.write_json(os.path.join(out, "manifest.json"), manifest)
 
 
 def _u0_field(grid, spec: str, seed: int):
@@ -223,9 +223,8 @@ def _dispatch(args, config: dict, problem) -> int:
 
     if args.command == "validate":
         report = validate_assumptions(problem, SamplingPlan(), tol=args.tol)
-        manifest = _manifest(args, config, {"tol": args.tol, "outputs": ["report.json"]})
-        iotools.write_json(os.path.join(out, "manifest.json"), manifest)
-        iotools.write_json(os.path.join(out, "report.json"), report.to_dict())
+        _write_manifest(out, args, config, {"tol": args.tol, "outputs": ["report.json"]})
+        iotools.write_json(os.path.join(out, "report.json"), report)
         if not report.passed:
             failure = report.first_failure()
             print(f"validation failed: {failure.name}", file=sys.stderr)
@@ -239,13 +238,12 @@ def _dispatch(args, config: dict, problem) -> int:
             cert = barriers.find_lyapunov_delta(problem, args.param, args.M, args.grid_step)
         else:
             cert = barriers.find_barrier_delta(problem, args.param, args.M, args.grid_step)
-        manifest = _manifest(
-            args, config,
+        _write_manifest(
+            out, args, config,
             {"family": args.family, "param": args.param, "M": args.M,
              "grid_step": args.grid_step, "outputs": ["certificate.json"]},
         )
-        iotools.write_json(os.path.join(out, "manifest.json"), manifest)
-        iotools.write_json(os.path.join(out, "certificate.json"), cert.to_dict())
+        iotools.write_json(os.path.join(out, "certificate.json"), cert)
         print(f"certified delta={cert.delta:.6g} margin={cert.margin:.3e}")
         return 0
 
@@ -259,15 +257,14 @@ def _dispatch(args, config: dict, problem) -> int:
         meta: dict = {}
         states = cauchy.march(grid, u0, args.T, args.mode, args.dt, snap, metadata=meta)
         times = _write_snapshots(out, iotools.coordinate_text(grid.x), states)
-        manifest = _manifest(
-            args, config,
+        _write_manifest(
+            out, args, config,
             {"h": h, "dt": meta["dt"], "mode": args.mode, "T": args.T,
              "u0": args.u0, "snapshot_every": snap,
              "outputs": ["metadata.json", "stencil.json", "snapshots"]},
         )
-        iotools.write_json(os.path.join(out, "manifest.json"), manifest)
         iotools.write_json(os.path.join(out, "metadata.json"), {**meta, "times": times})
-        iotools.write_json(os.path.join(out, "stencil.json"), stencil_report(grid).to_dict())
+        iotools.write_json(os.path.join(out, "stencil.json"), stencil_report(grid))
         print(f"evolved to T={args.T} with {len(times)} snapshots")
         return 0
 
@@ -275,13 +272,12 @@ def _dispatch(args, config: dict, problem) -> int:
         pair = _ergodic_pair(grid, args.method, args.tol, args.dt)
         # rvi records the step it took; the policy solver takes none and records the flag
         dt = ergodic.RVI_DT if args.method == "rvi" and args.dt is None else args.dt
-        manifest = _manifest(
-            args, config,
+        _write_manifest(
+            out, args, config,
             {"h": h, "method": args.method, "tol": args.tol, "dt": dt,
              "outputs": ["ergodic.json", "chi.csv"]},
         )
-        iotools.write_json(os.path.join(out, "manifest.json"), manifest)
-        iotools.write_json(os.path.join(out, "ergodic.json"), pair.to_dict())
+        iotools.write_json(os.path.join(out, "ergodic.json"), pair)
         iotools.write_field_csv(os.path.join(out, "chi.csv"), iotools.coordinate_text(grid.x), pair.chi)
         print(f"c={pair.c!r} residual={pair.residual:.3e} ({pair.iterations} iterations)")
         return 0
@@ -293,13 +289,12 @@ def _dispatch(args, config: dict, problem) -> int:
         report, _ = analysis.run_until_flat(
             grid, u0, pair, tol=args.tol, dt=args.dt, t_max=args.t_max
         )
-        manifest = _manifest(
-            args, config,
+        _write_manifest(
+            out, args, config,
             {"h": h, "dt": args.dt, "tol": args.tol, "u0": args.u0,
              "outputs": ["convergence.json", "curves.csv"]},
         )
-        iotools.write_json(os.path.join(out, "manifest.json"), manifest)
-        iotools.write_json(os.path.join(out, "convergence.json"), report.to_dict())
+        iotools.write_json(os.path.join(out, "convergence.json"), report)
         iotools.atomic_write_text(
             os.path.join(out, "curves.csv"),
             iotools.curves_csv(
@@ -316,12 +311,11 @@ def _dispatch(args, config: dict, problem) -> int:
         pair = _ergodic_pair(grid)
         fit_range = None if args.fit_min is None else (args.fit_min, args.fit_max)
         fit = analysis.holder_fit(grid, pair.chi, side=args.side, fit_range=fit_range)
-        manifest = _manifest(
-            args, config,
+        _write_manifest(
+            out, args, config,
             {"h": h, "side": args.side, "outputs": ["holder.json"]},
         )
-        iotools.write_json(os.path.join(out, "manifest.json"), manifest)
-        iotools.write_json(os.path.join(out, "holder.json"), fit.to_dict())
+        iotools.write_json(os.path.join(out, "holder.json"), fit)
         print(f"exponent={fit.exponent:.4g} (uncapped {fit.uncapped_slope:.4g}, "
               f"r2={fit.r_squared:.4g})")
         return 0
@@ -346,13 +340,12 @@ def _dispatch(args, config: dict, problem) -> int:
             grid, fields, args.rho, args.delta, barrier_M, t=args.t,
             require_certified=args.require_certified,
         )
-        manifest = _manifest(
-            args, config,
+        _write_manifest(
+            out, args, config,
             {"h": h, "rho": args.rho, "delta": args.delta, "t": args.t,
              "outputs": ["envelope.json"]},
         )
-        iotools.write_json(os.path.join(out, "manifest.json"), manifest)
-        iotools.write_json(os.path.join(out, "envelope.json"), report.to_dict())
+        iotools.write_json(os.path.join(out, "envelope.json"), report)
         print(f"violations: lower={report.lower_violation:.3e} "
               f"upper={report.upper_violation:.3e}")
         return 0

@@ -53,7 +53,7 @@ is excluded from that norm and reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,22 +86,20 @@ class ErgodicSolverParams:
 
 @dataclass
 class ErgodicPair:
+    """The constant c and the corrector chi, with the solver's residuals.
+    ``ergodic.json`` is this record without ``chi``, an array that goes to
+    ``chi.csv``; ``chi_sup`` = sup |chi| is set when the pair is built."""
+
     c: float
     chi: GridField
     method: str
     residual: float
     iterations: int
     boundary_residual: float = 0.0
+    chi_sup: float = field(init=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "method": self.method,
-            "residual": self.residual,
-            "boundary_residual": self.boundary_residual,
-            "iterations": self.iterations,
-            "chi_sup": float(np.abs(self.chi).max()),
-        }
+    def __post_init__(self):
+        self.chi_sup = float(np.abs(self.chi).max())
 
 
 def normalize_chi(chi: GridField) -> GridField:

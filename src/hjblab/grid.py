@@ -23,7 +23,10 @@ is discretized per control as a monotone linear stencil plus the cost:
   node is discretized one-sided inward and flagged.
 
 Grids are uniform: interior points of an interval, or the square-lattice
-points of a disk whose distance to the boundary is at least h.  The build
+points of a disk whose distance to the boundary is at least h.  A build
+that would lay out more than ``MAX_GRID_POINTS`` points (the interval's
+interior points, the disk's whole square lattice) is refused with
+:class:`ConfigError` before anything is allocated.  The build
 evaluates each control's coefficients once per point set (the nodes, the
 points x +- fd_step of the divergence difference, the face midpoints and
 the boundary feet) through the array evaluator of :mod:`hjblab.expr`, so
@@ -73,6 +76,10 @@ from . import geometry as geo
 from .errors import ConfigError, NumericalError
 from .problem import ControlProblem, quadratic_form
 
+# far above every grid the lab solves: the unit disk at h = 0.0125 has
+# 19,577 nodes on a lattice of 26,569 points
+MAX_GRID_POINTS = 10_000_000
+
 GridField = np.ndarray  # one real per node
 
 
@@ -88,6 +95,15 @@ class BoundaryClosure(NamedTuple):
     first_exterior_node: int | None
     clamped_faces: int
     forced_inward: int
+
+
+def _check_size(h: float, points: float) -> None:
+    """Refuse a build that would lay out ``points`` points (a float, so
+    that a huge or non-finite count is refused, not converted)."""
+    if not points <= MAX_GRID_POINTS:
+        raise ConfigError(
+            f"h={h} would lay out {points:.6g} grid points, above the cap of {MAX_GRID_POINTS}"
+        )
 
 
 class Grid:
@@ -126,6 +142,7 @@ class Grid:
         if isinstance(dom, geo.Interval):
             length = dom.x_hi - dom.x_lo
             ratio = length / h
+            _check_size(h, ratio - 1)
             if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                 raise ConfigError(f"h={h} does not divide the interval length {length}")
             n = int(round(ratio)) - 1
@@ -139,8 +156,11 @@ class Grid:
 
         if h > dom.radius / 2:
             raise ConfigError(f"h={h} is too coarse for a disk of radius {dom.radius}")
+        reach = float(np.floor(dom.radius / h))
+        side = 2 * reach + 3  # 2 k_max + 1 lattice points
+        _check_size(h, side * side)
         c = np.asarray(dom.center, dtype=float)
-        k_max = int(np.floor(dom.radius / h)) + 1
+        k_max = int(reach) + 1
         steps = h * np.arange(-k_max, k_max + 1, dtype=float)
         # lattice point (i, j) sits at [j + k_max, i + k_max]; nodes are
         # numbered row by row (j outer, i inner)
@@ -429,19 +449,6 @@ class StencilReport:
     min_offdiagonal: float
     max_row_sum_error: float
     cfl_dt: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "n_controls": self.n_controls,
-            "h": self.h,
-            "exterior_reference_count": self.exterior_reference_count,
-            "clamped_face_count": self.clamped_face_count,
-            "forced_inward_count": self.forced_inward_count,
-            "min_offdiagonal": self.min_offdiagonal,
-            "max_row_sum_error": self.max_row_sum_error,
-            "cfl_dt": self.cfl_dt,
-        }
 
 
 def _row_sums(grid: Grid, matrix) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Outputs are written atomically (temp file + rename) and byte-stable:
 JSON is dumped with sorted keys, floats through repr, CSV with repr
-columns.  A CSV column is formatted in one call (:func:`_repr_column`):
-orjson writes Ryu's shortest round-trip digits for the cells that repr
-prints in fixed notation (0 and 1e-4 <= |v| < 1e16, a range exact at
+columns.  A report is its own JSON record: :func:`dump_json` writes a
+dataclass as the object of its fields and leaves out its array fields,
+since a grid field goes to a CSV file, never to JSON.  A CSV column is
+formatted in one call (:func:`_repr_column`): orjson writes Ryu's
+shortest round-trip digits for the cells that repr prints in fixed
+notation (0 and 1e-4 <= |v| < 1e16, a range exact at
 the double level), and every other cell, non-finite ones included, is
 formatted by repr itself, so each cell's bytes are repr's for every
 double.  A field CSV's text is formatted once per grid, with an empty
@@ -21,7 +24,7 @@ import hashlib
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -49,8 +52,20 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _record(obj) -> dict:
+    """A dataclass instance as the dict of its fields, array fields left
+    out; any other object is refused as ``json`` refuses it."""
+    if not is_dataclass(obj) or isinstance(obj, type):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: value for name, value in values.items() if not isinstance(value, np.ndarray)}
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``obj`` as JSON text with sorted keys and a final newline.  A
+    dataclass, at any depth, is written as its fields, tuples as lists;
+    a field holding an array is left out (fields go to CSV)."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_record) + "\n"
 
 
 def write_json(path: str, obj) -> None:

@@ -360,16 +360,6 @@ class DegeneracyCertificate:
     sigma_rate_slope: float | None
     drift_fit: list = field(default_factory=list)   # (d, inf drift) table rows
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "boundary_residual": self.boundary_residual,
-            "sigma_rate_slope": self.sigma_rate_slope,
-            "drift_fit": [[float(d), float(v)] for d, v in self.drift_fit],
-        }
-
 
 @dataclass
 class CheckResult:
@@ -377,14 +367,6 @@ class CheckResult:
     passed: bool
     detail: dict
     witness: list | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "witness": self.witness,
-        }
 
 
 @dataclass
@@ -398,13 +380,6 @@ class ValidationReport:
             if not c.passed:
                 return c
         return None
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-        }
 
 
 def _interior_points(problem: ControlProblem, plan: SamplingPlan) -> np.ndarray:

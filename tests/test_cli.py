@@ -126,6 +126,31 @@ def test_solve_off_diagonal_diffusion_exits_two(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, size, count", [
+    ("interval", 1e308, "inf"),
+    ("interval", 2**70, "1.18059e+22"),
+    ("interval", 1e9, "1e+10"),
+    ("disk", 1e308, "inf"),
+    ("disk", 2**70, "5.57519e+44"),
+    ("disk", 1e9, "4e+20"),
+])
+def test_oversized_grid_exits_two(tmp_path, capsys, kind, size, count):
+    # refused from the point count alone, before the build allocates anything
+    import hjblab.cli as cli
+    from hjblab.grid import MAX_GRID_POINTS
+
+    cfg = helpers.sigma_one_config() if kind == "interval" else helpers.disk_config()
+    cfg["domain"]["x_hi" if kind == "interval" else "radius"] = size
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    assert cli.run(["ergodic", str(path), "--h", "0.1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"would lay out {count} grid points, above the cap of {MAX_GRID_POINTS}" in err
+    assert not out.exists()
+
+
 def test_import_validate_and_certify_leave_scipy_and_orjson_unloaded(tmp_path):
     # both are imported where they are first used, which keeps them out of
     # the start-up of every command and out of the commands that never use them

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import hjblab as hj
 from hjblab import ergodic
 from hjblab.errors import ConfigError, NumericalError
 from hjblab.grid import apply_H
+from hjblab.iotools import dump_json
 
 
 DISK = {
@@ -179,5 +181,5 @@ def test_params_validation():
 
 
 def test_pair_serializes():
-    blob = helpers.rvi_pair("smoothA", 0.004).to_dict()
+    blob = json.loads(dump_json(helpers.rvi_pair("smoothA", 0.004)))
     assert set(blob) >= {"c", "method", "residual", "iterations", "chi_sup"}

@@ -388,16 +388,6 @@ def test_exterior_references_without_degeneracy():
     assert rep.exterior_reference_count > 0
 
 
-def test_stencil_report_serializes():
-    blob = stencil_report(helpers.grid("smoothA", 0.1)).to_dict()
-    assert set(blob) == {
-        "n_nodes", "n_controls", "h", "exterior_reference_count", "clamped_face_count",
-        "forced_inward_count", "min_offdiagonal", "max_row_sum_error", "cfl_dt",
-    }
-    assert blob["n_nodes"] == 9
-    assert blob["cfl_dt"] > 0
-
-
 def test_explicit_step_monotone_at_touching_node():
     # u <= v with equality at node i: one explicit step preserves order at i
     rng = np.random.default_rng(11)

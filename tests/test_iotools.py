@@ -1,4 +1,7 @@
+import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 import helpers
 import hjblab as hj
 from hjblab.errors import ConfigError
-from hjblab.iotools import _repr_column, atomic_write_text, coordinate_text, curves_csv, field_csv
+from hjblab.iotools import _repr_column, atomic_write_text, coordinate_text, curves_csv, dump_json, field_csv
+from hjblab.problem import SamplingPlan
 
 # the powers of ten from 1e-4 to 1e16, each the double nearest it
 POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-4, 17)])
@@ -137,3 +141,99 @@ def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
     assert path.stat().st_mode & 0o777 == mode
     assert path.read_text() == "y\n"
     assert os.listdir(path.parent) == ["chi.csv"]
+
+
+def _grid():
+    return helpers.grid("smoothA", 0.004)
+
+
+def _pair():
+    return hj.solve_ergodic_policy(_grid())
+
+
+# each report the CLI writes as JSON, built as the CLI builds it, and the
+# keys of that file at the last commit with hand-written serializers
+RECORDS = {
+    "report.json": (
+        lambda: hj.validate_assumptions(helpers.problem("smoothA"), SamplingPlan(collar_per_side=60)),
+        {"passed", "checks", "certificate"},
+    ),
+    "certificate.json": (
+        lambda: hj.find_barrier_delta(helpers.problem("smoothA"), 0.5, 2.0, 1e-3),
+        {"family", "param", "M", "delta", "margin", "theoretical_margin", "witness_table"},
+    ),
+    "stencil.json": (
+        lambda: hj.stencil_report(helpers.grid("smoothA", 0.1)),
+        {"n_nodes", "n_controls", "h", "exterior_reference_count", "clamped_face_count",
+         "forced_inward_count", "min_offdiagonal", "max_row_sum_error", "cfl_dt"},
+    ),
+    "ergodic.json": (
+        _pair,
+        {"c", "method", "residual", "boundary_residual", "iterations", "chi_sup"},
+    ),
+    "convergence.json": (
+        lambda: hj.run_until_flat(_grid(), np.zeros(_grid().n), _pair(), tol=1e-3, dt=0.02)[0],
+        {"times", "inf_gap", "sup_gap", "K", "uniform_error", "metadata"},
+    ),
+    "holder.json": (
+        lambda: hj.holder_fit(_grid(), _pair().chi, "left", fit_range=(0.004, 0.05)),
+        {"side", "exponent", "uncapped_slope", "fit_range", "r_squared", "boundary_limit_value",
+         "lipschitz_consistent", "flat", "n_samples"},
+    ),
+    "envelope.json": (
+        lambda: hj.boundary_envelope_check(_grid(), [_pair().chi], 0.4, 0.1, 2.0),
+        {"rho", "delta", "lower_violation", "upper_violation", "checked_at_t", "rim_min", "rim_max",
+         "n_nodes", "certified_delta", "certified"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_report_json_is_its_fields(name):
+    build, keys = RECORDS[name]
+    report = build()
+    blob = json.loads(dump_json(report))
+    assert set(blob) == keys
+    if name == "report.json":
+        assert {frozenset(check) for check in blob["checks"]} == {
+            frozenset({"name", "passed", "detail", "witness"})
+        }
+        assert set(blob["certificate"]) == {
+            "k", "gamma", "delta", "boundary_residual", "sigma_rate_slope", "drift_fit"
+        }
+    if name == "stencil.json":
+        assert blob["n_nodes"] == 9
+        assert blob["cfl_dt"] > 0
+    if name == "ergodic.json":
+        # chi is an array: it goes to chi.csv, and only its sup to the JSON
+        assert "chi" not in blob and "chi_sup" in blob
+        assert blob["chi_sup"] == float(np.abs(report.chi).max()) > 0
+    if name == "holder.json":
+        assert blob["fit_range"] == [0.004, 0.05]
+
+
+def test_dump_json_refuses_what_is_no_record():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        dump_json({"nodes": {1, 2}})
+    with pytest.raises(TypeError, match="type is not JSON serializable"):
+        dump_json(SamplingPlan)  # a dataclass type, not an instance
+
+
+# the pattern of a second, hand-written serializer, and the one it caught:
+# the tail of ErgodicPair as it stood before reports became their records
+SERIALIZER = re.compile(r"\bdef to_dict\b|\bBarrierSpec\b")
+HAND_WRITTEN = """\
+    boundary_residual: float = 0.0
+
+    def to_dict(self) -> dict:
+        return {
+            "c": self.c,
+"""
+
+
+def test_reports_have_no_second_serializer():
+    # a report's JSON is its fields (iotools.dump_json); a to_dict would
+    # write the field list a second time
+    assert SERIALIZER.findall(HAND_WRITTEN) == ["def to_dict"]
+    for path in sorted(pathlib.Path(hj.__file__).parent.glob("*.py")):
+        assert not SERIALIZER.findall(path.read_text()), path.name

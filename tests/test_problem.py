@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import helpers
 from hjblab import assemble_problem, validate_assumptions
 from hjblab import geometry as geo
 from hjblab.errors import ConfigError, NumericalError
+from hjblab.iotools import dump_json
 from hjblab.problem import SamplingPlan, _interior_points, degeneracy_certificate
 
 
@@ -126,7 +129,7 @@ def test_validation_monotone_in_tol():
 
 def test_report_serializes():
     report = validate_assumptions(helpers.problem("smoothA"), SamplingPlan(collar_per_side=60))
-    blob = report.to_dict()
+    blob = json.loads(dump_json(report))
     assert blob["passed"] is True
     assert {c["name"] for c in blob["checks"]} >= {"hoelder_b", "interior_ellipticity",
                                                    "boundary_degeneracy", "inward_drift"}
@@ -154,7 +157,7 @@ def test_disk_problem_validates():
 def test_validate_is_deterministic():
     r1 = validate_assumptions(helpers.problem("degenerateB"))
     r2 = validate_assumptions(helpers.problem("degenerateB"))
-    assert r1.to_dict() == r2.to_dict()
+    assert dump_json(r1) == dump_json(r2)
 
 
 def _loop_pairs(seed: int, count: int, pairs: int) -> np.ndarray:
