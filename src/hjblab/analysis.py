@@ -32,7 +32,9 @@ from .cauchy import CauchyState, march, plan_march
 from .ergodic import ErgodicPair
 from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField
-from .problem import ControlProblem, DegeneracyCertificate, degeneracy_certificate
+from .problem import ControlProblem, degeneracy_certificate
+
+MIN_FIT_NODES = 10  # the fewest nodes a Hoelder fit range may hold
 
 MONOTONE_TOL_PER_STEP = 1e-9
 
@@ -62,7 +64,6 @@ def boundary_envelope_check(
     delta: float,
     barrier_M: float,
     t: float | None = None,
-    certificate: DegeneracyCertificate | None = None,
     require_certified: bool = False,
 ) -> EnvelopeReport:
     """Check the boundary envelope of the last of ``fields`` inside the
@@ -79,7 +80,7 @@ def boundary_envelope_check(
     Every refusal (rho, delta, no rim nodes, t < 1, an uncertified width)
     comes before the first field is drawn.
     """
-    cert = certificate or degeneracy_certificate(grid.problem)
+    cert = degeneracy_certificate(grid.problem)
     if not 0 < rho < 1 - cert.gamma:
         raise ConfigError(f"rho={rho} outside the certified range (0, {1 - cert.gamma})")
     if not 0 < delta < geo.collar_width(grid.domain):
@@ -206,8 +207,11 @@ def holder_fit(
     mask = (d >= lo) & (d <= hi)
     resid = np.abs(v - limit)
     usable = mask & (resid > 1e-12)
-    if int(mask.sum()) < 10:
-        raise ConfigError(f"fit range {fit_range} holds fewer than 10 nodes")
+    if int(mask.sum()) < MIN_FIT_NODES:
+        raise ConfigError(
+            f"fit range {fit_range} holds {int(mask.sum())} nodes at h={grid.h}, fewer than the "
+            f"{MIN_FIT_NODES} a fit needs: use a wider fit range or a finer h"
+        )
     if int(usable.sum()) < max(3, int(0.5 * mask.sum())):
         return HolderFit(side, 0.0, 0.0, fit_range, 0.0, limit, False, flat=True,
                          n_samples=int(mask.sum()))

@@ -8,14 +8,13 @@ grid whose stencil would need boundary data is refused
 * :func:`step_explicit` is forward Euler, monotone under the CFL bound,
   which it checks at each call;
 * :func:`step_implicit_policy` is backward Euler solved by policy
-  iteration (alternating per-node control maximization with a linear
-  solve for the frozen controls); each frozen-control matrix is an
-  M-matrix, so the step is monotone for any step size.
+  iteration; each frozen-control matrix is an M-matrix, so the step is
+  monotone for any step size.
 
-An implicit step with one control has no policy to improve, so the
-step is one frozen solve and nothing else: no per-control operator
-values, no argmax and no residual.  With more controls a step of k
-Howard sweeps costs k frozen solves and k + 1 evaluations of the
+:func:`policy_iteration`, Howard's loop, is the one place a policy is
+chosen, for the implicit step and the ergodic policy solver alike.  With
+one control it is one frozen solve and evaluates no operator values;
+with more, k sweeps cost k frozen solves and k + 1 evaluations of the
 operator values, one for the starting policy.
 
 :func:`march` is the one stepping loop and the only evolution API: a
@@ -89,7 +88,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -284,52 +283,67 @@ def frozen_factor(
     return factor
 
 
+def policy_iteration(
+    grid: Grid, u: GridField, evaluate: Callable, settled: Callable | None = None
+) -> tuple[GridField, int, np.ndarray | None]:
+    """Howard's policy iteration from the policy that maximizes the
+    operator values of ``u``.  Each sweep solves the current policy,
+    ``field = evaluate(policy, sweep)``, and takes the per-node argmax of
+    ``vals = control_values(grid, field)``, ties to the lowest index, as
+    the next policy, until it repeats or ``settled(field, vals)`` holds;
+    ``MAX_HOWARD_SWEEPS`` sweeps raise :class:`NumericalError`.  Returns
+    (field, sweeps, vals); with one control ``evaluate`` runs once, on
+    the zero policy, and no operator value is computed: vals is None.
+    """
+    if grid.n_controls == 1:
+        return evaluate(np.zeros(grid.n, dtype=np.intp), 1), 1, None
+    policy = np.argmax(control_values(grid, u), axis=0)
+    for sweep in range(1, MAX_HOWARD_SWEEPS + 1):
+        field = evaluate(policy, sweep)
+        vals = control_values(grid, field)
+        new_policy = np.argmax(vals, axis=0)
+        if np.array_equal(new_policy, policy) or (settled is not None and settled(field, vals)):
+            return field, sweep, vals
+        policy = new_policy
+    raise NumericalError(f"policy iteration did not settle in {MAX_HOWARD_SWEEPS} sweeps")
+
+
 def howard_solve(grid: Grid, u_old: GridField, dt: float) -> tuple[GridField, int, float | None]:
-    """Solve the backward Euler step u + dt H[u] = u_old by policy iteration.
+    """Solve the backward Euler step u + dt H[u] = u_old by
+    :func:`policy_iteration` from the policy of ``u_old``.
 
-    Alternates (a) the per-node maximizing control for the current
-    iterate with (b) a solve with the :func:`frozen_factor` of the frozen
-    controls, until the policy is stationary or the nonlinear residual
-    ``|u + dt H[u] - u_old|`` drops below ``HOWARD_RESIDUAL_TOL`` (scaled
-    by the data size), for at most ``MAX_HOWARD_SWEEPS`` sweeps.  A
-    stationary policy means the last solve already satisfies the Bellman
-    step up to linear-solve roundoff.  With one control there is no
-    policy to improve: the first solve is the step, returned once it is
-    checked finite, and no operator value, residual or data scale is
-    computed.
+    Each sweep is a solve with the :func:`frozen_factor` of the frozen
+    controls, checked finite; the loop also stops once the nonlinear
+    residual ``|u + dt H[u] - u_old|`` drops below ``HOWARD_RESIDUAL_TOL``
+    (scaled by the data size), which ends a cycle between tied policies.
+    A stationary policy means the last solve already satisfies the
+    Bellman step up to linear-solve roundoff.
 
-    Returns (solution, sweeps used, final residual); the residual is None
-    ("not computed") with one control.  A grid that needs boundary data
-    and a solve that is not finite raise :class:`NumericalError`.
+    Returns (solution, sweeps used, final residual); with one control the
+    first solve is the step, and the residual is None ("not computed").
+    A grid that needs boundary data and a solve that is not finite raise
+    :class:`NumericalError`.
     """
     if not dt > 0:
         raise ConfigError("dt must be positive")
     require_no_boundary_data(grid)
-    if grid.n_controls == 1:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to _check_finite
-            u = frozen_factor(grid, np.zeros(grid.n, dtype=np.intp), scale=dt, shift=1.0).solve(
-                u_old + dt * grid.l[0]
-            )
-        _check_finite(grid, u)
-        return u, 1, None
-    scale = max(1.0, float(np.abs(u_old).max()), grid.l_sup() * dt)
-    policy = np.argmax(control_values(grid, u_old), axis=0)
-    last_residual = np.inf
-    for sweep in range(1, MAX_HOWARD_SWEEPS + 1):
+
+    def evaluate(policy, sweep):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to _check_finite
             rhs = u_old + dt * grid.l[policy, np.arange(grid.n)]
             u = frozen_factor(grid, policy, scale=dt, shift=1.0).solve(rhs)
         _check_finite(grid, u)
-        vals = control_values(grid, u)
-        new_policy = np.argmax(vals, axis=0)
-        last_residual = float(np.abs(u + dt * np.max(vals, axis=0) - u_old).max())
-        if np.array_equal(new_policy, policy) or last_residual <= HOWARD_RESIDUAL_TOL * scale:
-            return u, sweep, last_residual
-        policy = new_policy
-    raise NumericalError(
-        f"policy iteration did not settle in {MAX_HOWARD_SWEEPS} sweeps "
-        f"(residual {last_residual:.3e})"
-    )
+        return u
+
+    def residual(u, vals):
+        return float(np.abs(u + dt * np.max(vals, axis=0) - u_old).max())
+
+    def settled(u, vals):
+        scale = max(1.0, float(np.abs(u_old).max()), grid.l_sup() * dt)
+        return residual(u, vals) <= HOWARD_RESIDUAL_TOL * scale
+
+    u, sweeps, vals = policy_iteration(grid, u_old, evaluate, settled)
+    return u, sweeps, None if vals is None else residual(u, vals)
 
 
 def step_implicit_policy(grid: Grid, state: CauchyState, dt: float) -> CauchyState:

@@ -147,8 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("holder", help="boundary regularity fit of the corrector")
     _add_common(p)
     p.add_argument("--side", choices=("left", "right", "radial"), default="left")
-    p.add_argument("--fit-min", type=float, default=None)
-    p.add_argument("--fit-max", type=float, default=None)
+    p.add_argument("--fit-min", type=float, default=None,
+                   help="lower end of the fit range in d, set with --fit-max; default "
+                   "min(10 h, D/4) with D the default --fit-max; the range must hold "
+                   f"at least {analysis.MIN_FIT_NODES} nodes")
+    p.add_argument("--fit-max", type=float, default=None,
+                   help="upper end of the fit range in d; default D = min(0.05, 0.8 x the collar width)")
 
     p = subs.add_parser("envelope", help="boundary envelope check")
     _add_common(p)

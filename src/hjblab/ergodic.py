@@ -1,6 +1,6 @@
 """The ergodic pair (c, chi): H[chi] = c with sup chi = 0.
 
-Two solvers:
+Two solvers, both on Howard's loop, :func:`hjblab.cauchy.policy_iteration`:
 
 * :func:`solve_ergodic_policy` (the default) is Howard's policy iteration
   for the average cost: each frozen policy costs one linear solve for
@@ -57,18 +57,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cauchy import frozen_factor, march
+from .cauchy import frozen_factor, march, policy_iteration
 from .errors import ConfigError, NumericalError
-from .grid import (
-    Grid,
-    GridField,
-    apply_H,
-    generator_at,
-    maximizing_policy,
-    require_no_boundary_data,
-)
+from .grid import Grid, GridField, apply_H, generator_at, require_no_boundary_data
 
-MAX_POLICY_ITERATIONS = 100
 RVI_DT = 0.05
 MAX_WINDOWS = 10_000  # unit windows of one rvi solve
 
@@ -148,7 +140,8 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
     identity row, one :func:`~hjblab.cauchy.frozen_factor` gives ``y``
     (right-hand side ``l``) and ``z`` (right-hand side 1), both zero at
     the anchor; the anchor row's own equation fixes c, and
-    ``chi = y + c z``.  The policy is then re-maximized until it stops
+    ``chi = y + c z``.  :func:`~hjblab.cauchy.policy_iteration`, the
+    implicit step's loop, re-maximizes the policy until it stops
     changing.  ``z`` is the expected hitting time of the anchor, so a
     node that never reaches the anchor makes the matrix singular, and
     the solve raises :class:`NumericalError`.
@@ -159,8 +152,10 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
     n = grid.n
     rhs = np.ones((n, 2))
     rhs[anchor] = 0.0
-    policy = maximizing_policy(grid, np.zeros(n))
-    for iteration in range(1, MAX_POLICY_ITERATIONS + 1):
+    c = None  # the constant of the last evaluated policy
+
+    def evaluate(policy, iteration):
+        nonlocal c
         rhs[:, 0] = grid.l[policy, np.arange(n)]
         rhs[anchor, 0] = 0.0
         try:
@@ -171,20 +166,20 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
                 f"some node never reaches the anchor node {anchor}"
             ) from None
         if not np.isfinite(yz).all():
-            raise NumericalError(f"the frozen-policy solve is non-finite at policy iteration {iteration}")
+            bad = int(np.argmax(~np.isfinite(yz).all(axis=1)))
+            raise NumericalError(
+                f"the frozen-policy solve is non-finite at node {bad} (x={grid.x[bad].tolist()}) "
+                f"at policy iteration {iteration}"
+            )
         # (A u)[anchor] for u = y, z in neighbor differences: the pinned row
         # holds u[anchor] = 0 only up to the roundoff of the solve
         ca = policy[anchor]
         a_y, a_z = generator_at(grid, ca, anchor, yz)
         c = float((a_y - grid.l[ca, anchor]) / (1.0 - a_z))
-        chi = yz[:, 0] + c * yz[:, 1]
-        new_policy = maximizing_policy(grid, chi)
-        if np.array_equal(new_policy, policy):
-            break
-        policy = new_policy
-    else:
-        raise NumericalError(f"policy iteration did not settle in {MAX_POLICY_ITERATIONS} iterations")
-    return _checked_pair(grid, params, normalize_chi(chi), c, "policy", iteration)
+        return yz[:, 0] + c * yz[:, 1]
+
+    chi, iterations, _ = policy_iteration(grid, np.zeros(n), evaluate)
+    return _checked_pair(grid, params, normalize_chi(chi), c, "policy", iterations)
 
 
 def solve_ergodic_rvi(grid: Grid, params: ErgodicSolverParams | None = None) -> ErgodicPair:

@@ -346,11 +346,6 @@ def require_no_boundary_data(grid: Grid) -> None:
     )
 
 
-def maximizing_policy(grid: Grid, u: GridField) -> np.ndarray:
-    """Per-node maximizing control index; ties resolve to the lowest index."""
-    return np.argmax(control_values(grid, u), axis=0)
-
-
 def _side_sums(grid: Grid, coef: np.ndarray) -> np.ndarray:
     """The sum over each stencil of stacked per-side values ``(2N, ...)``,
     ``(m_1 + .. + m_N) + (p_1 + .. + p_N)``."""

@@ -40,10 +40,10 @@ def test_traced_names_resolve_and_flat_steps_count_the_converge_steps(tmp_path, 
     # one implicit step per recorded time, each one traced through march
     assert metrics["cauchy.implicit_steps"] == steps
     assert metrics["cauchy.howard_sweeps"] >= steps
-    # smoothA has one control, so an implicit step evaluates no operator:
-    # the three evaluations are the policy solver's two and one apply_H,
-    # however many steps the march takes
-    assert metrics["grid.control_values_calls"] == 3
+    # smoothA has one control, so neither an implicit step nor the policy
+    # solver evaluates the operator: the one evaluation is the residual's
+    # apply_H, however many steps the march takes
+    assert metrics["grid.control_values_calls"] == 1
 
 
 def test_traced_disk_solve_counts(tmp_path, capsys):

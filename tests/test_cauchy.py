@@ -14,7 +14,7 @@ from hjblab.cauchy import (
     step_implicit_policy,
 )
 from hjblab.errors import ConfigError, NumericalError
-from hjblab.grid import frozen_matrix, maximizing_policy
+from hjblab.grid import control_values, frozen_matrix
 from hjblab.problem import _preset_config
 
 
@@ -388,7 +388,7 @@ def test_cached_factor_is_never_stale():
     problem = hj.assemble_problem(helpers.two_control_disk_config())
     g = hj.build_grid(problem, 0.1)
     u1 = np.random.default_rng(6).uniform(-1.0, 1.0, g.n)
-    p0, p1 = maximizing_policy(g, np.zeros(g.n)), maximizing_policy(g, u1)
+    p0, p1 = (np.argmax(control_values(g, u), axis=0) for u in (np.zeros(g.n), u1))
     assert not np.array_equal(p0, p1)
     ulp = np.nextafter(0.05, 1.0)
     rhs = np.ones(g.n)
@@ -581,6 +581,18 @@ def test_one_control_step_equals_policy_iteration(config, h):
                          hj.march(two, u0, 0.6, "implicit", 0.05, 0.2, metadata=meta_two)):
         assert np.array_equal(got.u, want.u)
     assert meta_one["howard_sweeps"] == meta_two["howard_sweeps"] == 12
+
+
+def test_policy_iteration_that_does_not_settle_raises(monkeypatch):
+    # both solvers take 3 sweeps here, so a cap of 1 is reached by each
+    g = helpers.grid("twoControlA", 0.01)
+    state = initial_state(g, np.random.default_rng(32).uniform(-1.0, 1.0, g.n))
+    assert step_implicit_policy(g, state, 0.1).sweeps == 3
+    monkeypatch.setattr(cauchy, "MAX_HOWARD_SWEEPS", 1)
+    with pytest.raises(NumericalError, match=r"^policy iteration did not settle in 1 sweeps, t=0\.1$"):
+        step_implicit_policy(g, state, 0.1)
+    with pytest.raises(NumericalError, match=r"^policy iteration did not settle in 1 sweeps$"):
+        hj.solve_ergodic_policy(helpers.grid("twoControlA", 0.004))
 
 
 def test_implicit_step_counts_operator_evaluations(monkeypatch):

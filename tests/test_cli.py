@@ -407,6 +407,23 @@ def test_solve_overflowing_implicit_step_exits_one(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("h", ["0.1", "0.01"])
+def test_ergodic_overflowing_solve_names_its_node(tmp_path, capsys, h):
+    import hjblab.cli as cli
+
+    cfg = helpers.overflowing_config()
+    cfg["controls"][0]["l"] = "1e308*(1+0.5*x1)"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    assert cli.run(["ergodic", str(path), "--h", h, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"numerical failure: the frozen-policy solve is non-finite at node 0 (x=[{h}]) "
+        "at policy iteration 1\n"
+    )
+    assert not out.exists()
+
+
 def test_solve_overflowing_implicit_step_names_its_time(tmp_path):
     # the first step already overflows: the error names the time it was to reach
     cfg = helpers.overflowing_config()
@@ -477,6 +494,19 @@ def test_holder_smoke(tmp_path):
     assert res.returncode == 0, res.stderr
     fit = json.loads((out / "holder.json").read_text())
     assert 0.3 < fit["uncapped_slope"] < 0.95
+
+
+@pytest.mark.parametrize("h, nodes", [("0.01", 4), ("0.004", 9)])
+def test_holder_default_range_too_few_nodes_exits_two(tmp_path, capsys, h, nodes):
+    import hjblab.cli as cli
+
+    out = tmp_path / "never"
+    assert cli.run(["holder", preset_path("degenerateB"), "--h", h, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: fit range (0.0125, 0.05) holds {nodes} nodes at h={h}, fewer than the 10 a fit "
+        "needs: use a wider fit range or a finer h\n"
+    )
+    assert not out.exists()
 
 
 def test_envelope_smoke(tmp_path):

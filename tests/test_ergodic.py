@@ -43,9 +43,19 @@ def test_policy_matches_rvi(name):
     assert pair.chi.max() == 0.0
 
 
-def test_policy_iterates_on_two_controls():
-    pair = hj.solve_ergodic_policy(helpers.grid("twoControlA", 0.004))
-    assert pair.iterations > 1
+@pytest.mark.parametrize("name, h, iterations", [
+    ("twoControlA", 0.004, 3),
+    ("disk", 0.1, 3),
+    ("disk", 0.05, 3),
+    ("disk", 0.025, 4),
+])
+def test_policy_iterates_on_two_controls(name, h, iterations):
+    # the exact counts pin the stop rule: a stationary policy, and nothing else
+    if name == "disk":
+        g = hj.build_grid(hj.assemble_problem(helpers.validated_two_control_disk_config()), h)
+    else:
+        g = helpers.grid(name, h)
+    assert hj.solve_ergodic_policy(g).iterations == iterations
 
 
 @pytest.mark.parametrize("name", ["smoothA", "twoControlA", "disk"])

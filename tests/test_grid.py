@@ -6,10 +6,10 @@ import pytest
 
 import helpers
 import hjblab as hj
-from hjblab.cauchy import initial_state
+from hjblab.cauchy import initial_state, policy_iteration
 from hjblab.errors import ConfigError
 from hjblab.geometry import boundary_foot, diameter
-from hjblab.grid import BoundaryClosure, control_values, frozen_matrix, maximizing_policy, stencil_report
+from hjblab.grid import BoundaryClosure, control_values, frozen_matrix, stencil_report
 from hjblab.problem import quadratic_form
 
 
@@ -90,6 +90,19 @@ def test_only_the_grid_module_names_its_tables_and_boundary_record():
             assert named == {*tables, *BoundaryClosure._fields, ".closure"}
         else:
             assert not named, path.name
+
+
+def test_only_the_cauchy_loop_chooses_a_policy():
+    # a policy is the argmax of control_values in cauchy.policy_iteration;
+    # besides grid, which defines control_values, no module names it
+    values = re.compile(r"\bcontrol_values\b")
+    retired = re.compile(r"\b(?:maximizing_policy|MAX_POLICY_ITERATIONS)\b")
+    package = pathlib.Path(hj.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        assert not retired.search(text), path.name
+        assert path.name in ("grid.py", "cauchy.py") or not values.search(text), path.name
+    assert values.search((package / "cauchy.py").read_text())
 
 
 def _dense(grid, matrix):
@@ -418,7 +431,15 @@ def test_policy_ties_resolve_to_lowest_index():
     u = np.sin(3 * g.x[:, 0])
     vals = control_values(g, u)
     assert np.array_equal(vals[0], vals[1])
-    assert np.array_equal(maximizing_policy(g, u), np.zeros(g.n, dtype=np.int64))
+    # the policy Howard's loop starts from, and the one it keeps, is all zeros
+    policies = []
+
+    def evaluate(policy, sweep):
+        policies.append(policy)
+        return u
+
+    assert policy_iteration(g, u, evaluate)[1] == 1
+    assert np.array_equal(policies[0], np.zeros(g.n, dtype=np.int64))
 
 
 def test_disk_apply_constant():
