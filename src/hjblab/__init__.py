@@ -30,7 +30,6 @@ from .barriers import (
 from .cauchy import CauchyState, march, step_explicit, step_implicit_policy
 from .ergodic import (
     ErgodicPair,
-    ErgodicSolverParams,
     normalize_chi,
     solve_ergodic_policy,
     solve_ergodic_rvi,
@@ -42,7 +41,6 @@ from .problem import (
     ControlProblem,
     DegeneracyCertificate,
     RegularityConstants,
-    SamplingPlan,
     ValidationReport,
     assemble_problem,
     validate_assumptions,
@@ -58,13 +56,11 @@ __all__ = [
     "Disk",
     "EnvelopeReport",
     "ErgodicPair",
-    "ErgodicSolverParams",
     "Grid",
     "HolderFit",
     "Interval",
     "NumericalError",
     "RegularityConstants",
-    "SamplingPlan",
     "ValidationReport",
     "apply_H",
     "assemble_problem",

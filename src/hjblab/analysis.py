@@ -146,22 +146,39 @@ class HolderFit:
     n_samples: int = 0
 
 
-def _side_profile(grid: Grid, chi: GridField, side: str):
-    """(d, value) samples of one boundary side, ordered by increasing d."""
+def check_holder(
+    grid: Grid, side: str = "left", fit_range: tuple[float, float] | None = None
+) -> tuple[np.ndarray, tuple[float, float]]:
+    """Refuse the arguments of :func:`holder_fit` as it would, before the
+    corrector it fits is computed, and return the side's nodes by
+    increasing d and the fit range.  The side must exist on the grid's
+    domain, the range (default ``(min(10 h, D/4), D)`` with
+    D = min(0.05, 0.8 x the collar width)) must stay inside the collar,
+    and it must hold at least ``MIN_FIT_NODES`` of the side's nodes."""
     if side == "radial":
-        order = np.argsort(grid.d)
-        return grid.d[order], chi[order]
-    if side not in ("left", "right"):
+        nodes = np.argsort(grid.d)
+    elif side not in ("left", "right"):
         raise ConfigError(f"unknown side {side!r}")
-    if grid.ndim != 1:
+    elif grid.ndim != 1:
         raise ConfigError("left/right sides exist only on interval domains")
-    dom = grid.domain
-    mid = 0.5 * (dom.x_lo + dom.x_hi)
-    mask = grid.x[:, 0] < mid if side == "left" else grid.x[:, 0] > mid
-    d = grid.d[mask]
-    v = chi[mask]
-    order = np.argsort(d)
-    return d[order], v[order]
+    else:
+        mid = 0.5 * (grid.domain.x_lo + grid.domain.x_hi)
+        nodes = np.flatnonzero(grid.x[:, 0] < mid if side == "left" else grid.x[:, 0] > mid)
+        nodes = nodes[np.argsort(grid.d[nodes])]
+    if fit_range is None:
+        hi_default = min(0.05, 0.8 * geo.collar_width(grid.domain))
+        fit_range = (min(10 * grid.h, hi_default / 4), hi_default)
+    lo, hi = fit_range
+    if hi > geo.collar_width(grid.domain):
+        raise ConfigError("fit range exceeds the collar")
+    d = grid.d[nodes]
+    count = int(((d >= lo) & (d <= hi)).sum())
+    if count < MIN_FIT_NODES:
+        raise ConfigError(
+            f"fit range {fit_range} holds {count} nodes at h={grid.h}, fewer than the "
+            f"{MIN_FIT_NODES} a fit needs: use a wider fit range or a finer h"
+        )
+    return nodes, fit_range
 
 
 def holder_fit(
@@ -177,16 +194,13 @@ def holder_fit(
     d < 10 h is excluded from residual norms for the same reason: the
     discretization loses consistency there); the exponent is then the
     least-squares slope of log|chi - limit| against log d over the fit
-    range, which must contain at least 10 nodes.  Slopes of 0.95 or more
-    report as exponent 1 with the Lipschitz-consistent flag.
+    range, which :func:`check_holder` refuses first unless it holds at
+    least ``MIN_FIT_NODES`` nodes.  Slopes of 0.95 or more report as
+    exponent 1 with the Lipschitz-consistent flag.
     """
-    d, v = _side_profile(grid, np.asarray(chi, dtype=float), side)
-    if fit_range is None:
-        hi_default = min(0.05, 0.8 * geo.collar_width(grid.domain))
-        fit_range = (min(10 * grid.h, hi_default / 4), hi_default)
+    nodes, fit_range = check_holder(grid, side, fit_range)
     lo, hi = fit_range
-    if hi > geo.collar_width(grid.domain):
-        raise ConfigError("fit range exceeds the collar")
+    d, v = grid.d[nodes], np.asarray(chi, dtype=float)[nodes]
 
     # Richardson limit from the samples nearest base, 2 base, 4 base
     base = min(10 * grid.h, float(d[-1]) / 5)
@@ -207,11 +221,6 @@ def holder_fit(
     mask = (d >= lo) & (d <= hi)
     resid = np.abs(v - limit)
     usable = mask & (resid > 1e-12)
-    if int(mask.sum()) < MIN_FIT_NODES:
-        raise ConfigError(
-            f"fit range {fit_range} holds {int(mask.sum())} nodes at h={grid.h}, fewer than the "
-            f"{MIN_FIT_NODES} a fit needs: use a wider fit range or a finer h"
-        )
     if int(usable.sum()) < max(3, int(0.5 * mask.sum())):
         return HolderFit(side, 0.0, 0.0, fit_range, 0.0, limit, False, flat=True,
                          n_samples=int(mask.sum()))

@@ -24,10 +24,9 @@ from . import __version__
 from . import analysis, barriers, cauchy, ergodic, iotools
 from .errors import ConfigError, NumericalError
 from .grid import build_grid, stencil_report
-from .problem import SamplingPlan, as_number, assemble_problem, validate_assumptions
+from .problem import as_number, assemble_problem, validate_assumptions
 
 DEFAULT_H = 1e-2
-ERGODIC_METHODS = ("policy", "rvi")  # ergodic.solve_ergodic_<method>
 
 
 def _load_config(path: str) -> dict:
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("ergodic", help="compute the ergodic pair (c, chi)")
     _add_common(p)
     p.add_argument(
-        "--method", choices=ERGODIC_METHODS, default="policy",
+        "--method", choices=("policy", "rvi"), default="policy",
         help="policy: policy iteration for the average cost (default); "
              "rvi: relative value iteration on implicit steps, stopped by a bracket on c, "
              "as a cross-check",
@@ -168,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(args) -> str:
     return args.out or f"hjblab-{args.command}-out"
-
-
-def _ergodic_pair(grid, method: str = "policy", tolerance: float = 1e-8, dt: float | None = None):
-    solve = getattr(ergodic, f"solve_ergodic_{method}")
-    return solve(grid, ergodic.ErgodicSolverParams(tolerance=tolerance, dt=dt))
 
 
 def _write_snapshots(out: str, coords, states) -> list[float]:
@@ -226,7 +220,7 @@ def _dispatch(args, config: dict, problem) -> int:
     out = _out_dir(args)
 
     if args.command == "validate":
-        report = validate_assumptions(problem, SamplingPlan(), tol=args.tol)
+        report = validate_assumptions(problem, tol=args.tol)
         _write_manifest(out, args, config, {"tol": args.tol, "outputs": ["report.json"]})
         iotools.write_json(os.path.join(out, "report.json"), report)
         if not report.passed:
@@ -273,9 +267,12 @@ def _dispatch(args, config: dict, problem) -> int:
         return 0
 
     if args.command == "ergodic":
-        pair = _ergodic_pair(grid, args.method, args.tol, args.dt)
-        # rvi records the step it took; the policy solver takes none and records the flag
-        dt = ergodic.RVI_DT if args.method == "rvi" and args.dt is None else args.dt
+        if args.method == "rvi":
+            dt = args.dt if args.dt is not None else ergodic.RVI_DT  # the step it took
+            pair = ergodic.solve_ergodic_rvi(grid, args.tol, dt)
+        else:
+            dt = args.dt  # the policy solver takes no step; the flag is recorded as given
+            pair = ergodic.solve_ergodic_policy(grid, args.tol)
         _write_manifest(
             out, args, config,
             {"h": h, "method": args.method, "tol": args.tol, "dt": dt,
@@ -289,7 +286,7 @@ def _dispatch(args, config: dict, problem) -> int:
     if args.command == "converge":
         u0 = _u0_field(grid, args.u0, args.seed)
         analysis.check_flat(grid, args.tol, args.dt, args.t_max)  # before the ergodic solve
-        pair = _ergodic_pair(grid)
+        pair = ergodic.solve_ergodic_policy(grid)
         report, _ = analysis.run_until_flat(
             grid, u0, pair, tol=args.tol, dt=args.dt, t_max=args.t_max
         )
@@ -312,8 +309,9 @@ def _dispatch(args, config: dict, problem) -> int:
     if args.command == "holder":
         if (args.fit_min is None) != (args.fit_max is None):
             raise ConfigError("--fit-min and --fit-max set the fit range together")
-        pair = _ergodic_pair(grid)
         fit_range = None if args.fit_min is None else (args.fit_min, args.fit_max)
+        analysis.check_holder(grid, args.side, fit_range)  # before the ergodic solve
+        pair = ergodic.solve_ergodic_policy(grid)
         fit = analysis.holder_fit(grid, pair.chi, side=args.side, fit_range=fit_range)
         _write_manifest(
             out, args, config,
@@ -329,7 +327,7 @@ def _dispatch(args, config: dict, problem) -> int:
             for flag, value in (("--dt", args.dt), ("--u0", args.u0), ("--seed", args.seed)):
                 if value is not None:
                     raise ConfigError(f"{flag} sets the evolutive check and needs --t")
-            pair = _ergodic_pair(grid)
+            pair = ergodic.solve_ergodic_policy(grid)
             fields, barrier_M = [pair.chi], 2 * abs(pair.c) + grid.l_sup()
         else:
             args.u0 = args.u0 if args.u0 is not None else "zero"

@@ -26,12 +26,18 @@ A unit window that ends no narrower than the one before (the floor, or
 a problem without one constant c), or ``MAX_WINDOWS`` windows, raise
 :class:`NumericalError` instead of iterating on.
 
-RVI runs one march per unit window and restarts each from
-``u - u[anchor]``.  The shift changes no bracket, since S commutes with
-constants, and keeps sup |u| of order one.  Without it u grows like
-|c| t, and its roundoff, amplified by the 1/h^2 of the stencil, shows in
-the residual: on degenerateB at h = 1e-3 and tolerance 1e-9 the
-residual reaches 1.1e-9.
+Both solvers anchor at the deepest node, ``argmax d``: the policy
+solver pins chi there, and RVI restarts each unit window from
+``u - u[anchor]``.  The anchor is a gauge, not a parameter of the
+problem: c is unique and chi is unique up to an additive constant,
+which the final normalization sup chi = 0 fixes, so another anchor
+moves c and chi by roundoff only.
+
+RVI's restart changes no bracket, since S commutes with constants, and
+keeps sup |u| of order one.  Without it u grows like |c| t, and its
+roundoff, amplified by the 1/h^2 of the stencil, shows in the residual:
+on degenerateB at h = 1e-3 and tolerance 1e-9 the residual reaches
+1.1e-9.
 
 Every frozen operator, the pinned generator and the implicit step's
 ``I + dt A``, is solved through :func:`hjblab.cauchy.frozen_factor`,
@@ -46,9 +52,11 @@ Every solver refuses a grid whose stencil needs boundary data
 
 Every solver reports the residual ``sup |H[chi] - c|`` over nodes with
 d >= 10 h and raises :class:`NumericalError` unless it is below the
-tolerance, which must be positive and finite, so that the check cannot
-pass vacuously; the boundary layer, where the scheme loses consistency,
-is excluded from that norm and reported separately.
+tolerance.  The tolerance must be positive and finite, so that the
+check cannot pass vacuously, and a solver refuses any other with
+:class:`ConfigError` before it factors anything.  The boundary layer,
+where the scheme loses consistency, is excluded from that norm and
+reported separately.
 """
 
 from __future__ import annotations
@@ -63,17 +71,6 @@ from .grid import Grid, GridField, apply_H, generator_at, require_no_boundary_da
 
 RVI_DT = 0.05
 MAX_WINDOWS = 10_000  # unit windows of one rvi solve
-
-
-@dataclass
-class ErgodicSolverParams:
-    tolerance: float = 1e-8
-    anchor_node: int | None = None      # policy/rvi anchor node, default: deepest
-    dt: float | None = None             # rvi step, default 0.05; the policy solver ignores it
-
-    def __post_init__(self):
-        if not 0 < self.tolerance < np.inf:
-            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass
@@ -112,43 +109,42 @@ def _residuals(grid: Grid, chi: GridField, c: float) -> tuple[float, float]:
     return float(r[interior].max()), float(r[boundary].max()) if boundary.any() else 0.0
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 < tolerance < np.inf:
+        raise ConfigError(f"tolerance must be positive and finite, got {tolerance}")
+
+
 def _checked_pair(
-    grid: Grid, params: ErgodicSolverParams, chi: GridField, c: float, method: str, iterations: int
+    grid: Grid, tolerance: float, chi: GridField, c: float, method: str, iterations: int
 ) -> ErgodicPair:
     """The pair with its residuals; an interior residual above the tolerance raises."""
     residual, boundary_res = _residuals(grid, chi, c)
-    if not residual <= params.tolerance:
+    if not residual <= tolerance:
         raise NumericalError(
             f"the {method} solve settled with interior residual {residual:.3e} "
-            f"above the tolerance {params.tolerance}"
+            f"above the tolerance {tolerance}"
         )
     return ErgodicPair(c, chi, method, residual, iterations, boundary_res)
 
 
-def _anchor(grid: Grid, params: ErgodicSolverParams) -> int:
-    anchor = params.anchor_node if params.anchor_node is not None else int(np.argmax(grid.d))
-    if not 0 <= anchor < grid.n:
-        raise ConfigError(f"anchor node {anchor} is out of range")
-    return anchor
-
-
-def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) -> ErgodicPair:
+def solve_ergodic_policy(grid: Grid, tolerance: float = 1e-8) -> ErgodicPair:
     """Ergodic pair by policy iteration for the average cost.
 
     For a frozen policy the pair solves ``A chi - l = c`` with
-    ``chi[anchor] = 0``.  With the anchor row of ``A`` replaced by the
-    identity row, one :func:`~hjblab.cauchy.frozen_factor` gives ``y``
-    (right-hand side ``l``) and ``z`` (right-hand side 1), both zero at
-    the anchor; the anchor row's own equation fixes c, and
-    ``chi = y + c z``.  :func:`~hjblab.cauchy.policy_iteration`, the
-    implicit step's loop, re-maximizes the policy until it stops
-    changing.  ``z`` is the expected hitting time of the anchor, so a
-    node that never reaches the anchor makes the matrix singular, and
-    the solve raises :class:`NumericalError`.
+    ``chi[anchor] = 0`` at the deepest node.  With the anchor row of
+    ``A`` replaced by the identity row, one
+    :func:`~hjblab.cauchy.frozen_factor` gives ``y`` (right-hand side
+    ``l``) and ``z`` (right-hand side 1), both zero at the anchor; the
+    anchor row's own equation fixes c, and ``chi = y + c z``.
+    :func:`~hjblab.cauchy.policy_iteration`, the implicit step's loop,
+    re-maximizes the policy until it stops changing.  ``z`` is the
+    expected hitting time of the anchor, so a node that never reaches
+    the anchor makes the matrix singular, and the solve raises
+    :class:`NumericalError`.
     """
-    params = params or ErgodicSolverParams()
+    _check_tolerance(tolerance)
     require_no_boundary_data(grid)
-    anchor = _anchor(grid, params)
+    anchor = int(np.argmax(grid.d))
     n = grid.n
     rhs = np.ones((n, 2))
     rhs[anchor] = 0.0
@@ -179,24 +175,23 @@ def solve_ergodic_policy(grid: Grid, params: ErgodicSolverParams | None = None) 
         return yz[:, 0] + c * yz[:, 1]
 
     chi, iterations, _ = policy_iteration(grid, np.zeros(n), evaluate)
-    return _checked_pair(grid, params, normalize_chi(chi), c, "policy", iterations)
+    return _checked_pair(grid, tolerance, normalize_chi(chi), c, "policy", iterations)
 
 
-def solve_ergodic_rvi(grid: Grid, params: ErgodicSolverParams | None = None) -> ErgodicPair:
+def solve_ergodic_rvi(grid: Grid, tolerance: float = 1e-8, dt: float = RVI_DT) -> ErgodicPair:
     """Ergodic pair by relative value iteration on the implicit semigroup.
 
     From u = 0, :func:`~hjblab.cauchy.march` takes implicit steps of
-    ``params.dt`` (default ``RVI_DT``) in unit windows, each restarted
-    from ``u - u[anchor]``.  Each step gives the bracket
+    ``dt`` in unit windows, each restarted from ``u - u[anchor]`` at the
+    deepest node.  Each step gives the bracket
     ``(c_lo, c_hi) = (-max delta, -min delta)`` on c, with delta the
     step's increment over its length; the solve stops once the bracket is
     narrower than the tolerance and returns its midpoint, with chi the
     normalized last field.  A window that ends no narrower than the one
     before, or ``MAX_WINDOWS`` windows, raise :class:`NumericalError`.
     """
-    params = params or ErgodicSolverParams()
-    anchor = _anchor(grid, params)
-    dt = params.dt if params.dt is not None else RVI_DT
+    _check_tolerance(tolerance)
+    anchor = int(np.argmax(grid.d))
     u, steps, width = np.zeros(grid.n), 0, np.inf
     for window in range(1, MAX_WINDOWS + 1):
         states = march(grid, u - u[anchor], 1.0, "implicit", dt, snapshot_every=dt)
@@ -206,20 +201,20 @@ def solve_ergodic_rvi(grid: Grid, params: ErgodicSolverParams | None = None) -> 
             delta = (state.u - prev.u) / (state.t - prev.t)
             c_lo, c_hi = -float(delta.max()), -float(delta.min())
             steps += 1
-            if c_hi - c_lo < params.tolerance:
+            if c_hi - c_lo < tolerance:
                 return _checked_pair(
-                    grid, params, normalize_chi(state.u), 0.5 * (c_lo + c_hi), "rvi", steps
+                    grid, tolerance, normalize_chi(state.u), 0.5 * (c_lo + c_hi), "rvi", steps
                 )
             prev = state
         if not c_hi - c_lo < width:
             raise NumericalError(
                 f"the rvi bracket on c stopped narrowing at width {c_hi - c_lo:.3e} "
-                f"in window {window}, above the tolerance {params.tolerance}"
+                f"in window {window}, above the tolerance {tolerance}"
             )
         u, width = state.u, c_hi - c_lo
     raise NumericalError(
         f"the rvi bracket on c is {width:.3e} wide after {MAX_WINDOWS} windows, "
-        f"above the tolerance {params.tolerance}"
+        f"above the tolerance {tolerance}"
     )
 
 

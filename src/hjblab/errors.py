@@ -6,6 +6,10 @@ precondition problems (user error, exit code 2) and numerical failures
 code 1).
 """
 
+from contextlib import contextmanager
+
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Bad configuration, malformed input, or a violated precondition."""
@@ -13,6 +17,18 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed: no certificate, divergence, NaN."""
+
+
+@contextmanager
+def overflow_is_numerical(stage: str):
+    """Raise :class:`NumericalError` naming ``stage`` at the first
+    floating-point overflow in the block (or the decorated function),
+    where numpy would warn and carry an inf on."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as err:
+        raise NumericalError(f"{stage}: {err}") from None
 
 
 class ExprParseError(ConfigError):

@@ -22,25 +22,38 @@ import numpy as np
 
 from .errors import ConfigError
 
+DISK_DIRECTIONS = 16  # boundary rays of a disk's collar ladder
+
 
 @dataclass(frozen=True)
 class Interval:
+    """The open interval (x_lo, x_hi); refuses x_lo >= x_hi (or a NaN
+    end) and a length x_hi - x_lo that is not a finite double."""
+
     x_lo: float
     x_hi: float
 
     def __post_init__(self):
         if not self.x_lo < self.x_hi:
             raise ConfigError(f"interval needs x_lo < x_hi, got ({self.x_lo}, {self.x_hi})")
+        if not np.isfinite(self.x_hi - self.x_lo):
+            raise ConfigError(f"interval ({self.x_lo}, {self.x_hi}) has no finite length")
 
 
 @dataclass(frozen=True)
 class Disk:
+    """The open disk of ``radius`` around ``center``; refuses a radius
+    that is not positive, a diameter 2 radius that is not a finite
+    double, and a center without two coordinates."""
+
     center: tuple[float, float]
     radius: float
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ConfigError(f"disk needs radius > 0, got {self.radius}")
+        if not np.isfinite(diameter(self)):
+            raise ConfigError(f"disk of radius {self.radius} has no finite diameter")
         if len(self.center) != 2:
             raise ConfigError("disk center must have two coordinates")
 
@@ -160,18 +173,18 @@ def boundary_foot(dom: Domain, x):
     return foot, normal
 
 
-def collar_ladder(dom: Domain, d_min: float, d_max: float, n: int, directions: int = 16):
+def collar_ladder(dom: Domain, d_min: float, d_max: float, n: int):
     """Geometric ladder of n distances in [d_min, d_max] along each boundary ray.
 
-    The rays are the two sides of an interval, or ``directions`` equally
-    spaced radii of a disk.  Returns (points, ds): points of shape
+    The rays are the two sides of an interval, or ``DISK_DIRECTIONS``
+    equally spaced radii of a disk.  Returns (points, ds): points of shape
     (rays, n, N), ordered by increasing d along each ray, and ds (n,).
     """
     ds = np.geomspace(d_min, d_max, n)
     if isinstance(dom, Interval):
         pts = np.stack([dom.x_lo + ds, dom.x_hi - ds])[:, :, None]
     else:
-        th = np.linspace(0.0, 2 * np.pi, directions, endpoint=False)
+        th = np.linspace(0.0, 2 * np.pi, DISK_DIRECTIONS, endpoint=False)
         u = np.stack([np.cos(th), np.sin(th)], axis=1)
         pts = np.asarray(dom.center) + (dom.radius - ds)[None, :, None] * u[:, None, :]
     return pts, ds

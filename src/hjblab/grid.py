@@ -73,7 +73,7 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, overflow_is_numerical
 from .problem import ControlProblem, quadratic_form
 
 # far above every grid the lab solves: the unit disk at h = 0.0125 has
@@ -128,7 +128,8 @@ class Grid:
         self.ndim = problem.dim
         self._build_nodes()
         self.d = geo.distance_value(self.domain, self.x)
-        self._build_stencils()
+        with overflow_is_numerical("the stencil coefficients overflow a double"):
+            self._build_stencils()
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

@@ -19,6 +19,13 @@ either way.
 
 The fitted (k, gamma, delta) together with the boundary residual form a
 :class:`DegeneracyCertificate`.
+
+The samples are fixed by module constants: ``INTERIOR_SAMPLES`` (64)
+interior points for ellipticity, ``COLLAR_SAMPLES`` (160) geometric
+samples in d along each boundary side or disk direction, the deepest
+at d = ``D_MIN_FACTOR`` (1e-6) x the diameter, and ``HOELDER_PAIRS``
+(256) random pairs for the Hoelder ratios, drawn with seed
+``SAMPLING_SEED`` (0).
 """
 
 from __future__ import annotations
@@ -31,7 +38,13 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError, overflow_is_numerical
+
+INTERIOR_SAMPLES = 64
+COLLAR_SAMPLES = 160       # per boundary side or disk direction
+HOELDER_PAIRS = 256
+D_MIN_FACTOR = 1e-6        # deepest collar sample at this fraction of the diameter
+SAMPLING_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -65,7 +78,6 @@ class ControlProblem:
     domain: geo.Domain
     controls: tuple[Control, ...]
     reg: RegularityConstants
-    name: str = ""
 
     def __post_init__(self):
         if not self.controls:
@@ -211,11 +223,21 @@ def _preset_config(name: str, params: dict) -> dict:
 
 
 def as_number(value) -> float:
-    """``float(value)`` for a number read from JSON; a JSON boolean, which
-    ``float`` would take as 0.0 or 1.0, raises :class:`TypeError`."""
-    if isinstance(value, bool):
+    """``float(value)`` for a number read from JSON.  Anything but an
+    ``int`` or a ``float`` raises :class:`TypeError`: a string such as
+    ``"2"``, and a JSON boolean, which ``float`` would take as 0.0 or
+    1.0.  A number that is no finite double raises :class:`ValueError`:
+    an integer too large for a double, and ``Infinity``, ``NaN`` or a
+    literal such as ``1e999``, which Python's ``json`` reads as inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} is too large for a double") from None
+    if not np.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
 
 
 def _read(section: dict, key: str, where: str, convert=None):
@@ -251,10 +273,8 @@ def assemble_problem(config: dict) -> ControlProblem:
     consistency (N drift components, N rows of sigma) is enforced.
     """
     _require(config, dict, "configuration")
-    name = ""
     if "preset" in config:
-        name = config["preset"]
-        expanded = _preset_config(name, config)
+        expanded = _preset_config(config["preset"], config)
         config = {**expanded, **{k: v for k, v in config.items() if k not in ("preset", "L")}}
         for key in ("domain", "controls", "regularity"):
             config.setdefault(key, expanded[key])
@@ -334,21 +354,11 @@ def assemble_problem(config: dict) -> ControlProblem:
     reg = RegularityConstants(
         *(_read(reg_cfg, key, "regularity", as_number) for key in ("B", "eta", "beta"))
     )
-    return ControlProblem(domain=domain, controls=tuple(controls), reg=reg, name=name)
+    return ControlProblem(domain=domain, controls=tuple(controls), reg=reg)
 
 
 # ---------------------------------------------------------------------------
 # assumption validation
-
-
-@dataclass
-class SamplingPlan:
-    interior: int = 64          # interior points for ellipticity
-    collar_per_side: int = 160  # geometric samples per boundary side/direction
-    directions: int = 16        # boundary directions on a disk
-    pairs: int = 256            # random pairs for the Hoelder ratios
-    d_min_factor: float = 1e-6  # deepest sample at d = factor * diameter
-    seed: int = 0
 
 
 @dataclass
@@ -382,12 +392,12 @@ class ValidationReport:
         return None
 
 
-def _interior_points(problem: ControlProblem, plan: SamplingPlan) -> np.ndarray:
+def _interior_points(problem: ControlProblem) -> np.ndarray:
     dom = problem.domain
     if isinstance(dom, geo.Interval):
         pad = 1e-3 * geo.diameter(dom)
-        return np.linspace(dom.x_lo + pad, dom.x_hi - pad, plan.interior)[:, None]
-    n_r = max(2, int(np.sqrt(plan.interior)))
+        return np.linspace(dom.x_lo + pad, dom.x_hi - pad, INTERIOR_SAMPLES)[:, None]
+    n_r = max(2, int(np.sqrt(INTERIOR_SAMPLES)))
     radii = np.linspace(0.05 * dom.radius, 0.95 * dom.radius, n_r)
     th = np.linspace(0.0, 2 * np.pi, n_r, endpoint=False)
     u = np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -405,11 +415,8 @@ def _first_point(values: np.ndarray, target: float) -> int:
     return int(np.argmax((values == target).any(axis=0)))
 
 
-def validate_assumptions(
-    problem: ControlProblem,
-    plan: SamplingPlan | None = None,
-    tol: float = 0.05,
-) -> ValidationReport:
+@overflow_is_numerical("the sampled coefficients overflow a double")
+def validate_assumptions(problem: ControlProblem, tol: float = 0.05) -> ValidationReport:
     """Check every standing assumption numerically; failures are report
     entries with a witness point, never exceptions.
 
@@ -417,11 +424,13 @@ def validate_assumptions(
     at any larger one.  Each control's coefficients are evaluated once,
     over all sample points together.  A ``tol`` that is negative or not
     finite raises :class:`ConfigError`: an infinite one would pass every
-    check vacuously.
+    check vacuously.  So does a domain so small that every distance
+    between its samples is 0 in double precision.  Coefficients that
+    overflow a double, as evaluated or in the products the checks form,
+    raise :class:`NumericalError`.
     """
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"tol must be finite and nonnegative, got {tol}")
-    plan = plan or SamplingPlan()
     reg = problem.reg
     dom = problem.domain
     n_controls = len(problem.controls)
@@ -430,13 +439,16 @@ def validate_assumptions(
 
     # collar samples: geometric in d (denser near the boundary), grouped per
     # boundary side or direction, ordered by increasing d within each group
-    rays, ds = geo.collar_ladder(
-        dom, plan.d_min_factor * geo.diameter(dom), delta_cert * (1 - 1e-9),
-        plan.collar_per_side, plan.directions,
-    )
+    deepest = D_MIN_FACTOR * geo.diameter(dom)
+    if not deepest > 0:
+        raise ConfigError(
+            f"the domain is too small to sample: its deepest collar sample, at "
+            f"{D_MIN_FACTOR} x the diameter {geo.diameter(dom)}, is at d = 0"
+        )
+    rays, ds = geo.collar_ladder(dom, deepest, delta_cert * (1 - 1e-9), COLLAR_SAMPLES)
     collar_pts = rays.reshape(-1, problem.dim)
     collar_d = np.tile(ds, len(rays))
-    interior_pts = _interior_points(problem, plan)
+    interior_pts = _interior_points(problem)
     n_int = len(interior_pts)
     all_pts = np.concatenate([interior_pts, collar_pts])
     coeffs = [
@@ -445,8 +457,8 @@ def validate_assumptions(
     ]
 
     # (i) Hoelder ratios for b, l (exponent eta) and sigma (exponent beta)
-    rng = np.random.default_rng(plan.seed)
-    drawn = rng.integers(0, len(all_pts), size=(plan.pairs, 2))
+    rng = np.random.default_rng(SAMPLING_SEED)
+    drawn = rng.integers(0, len(all_pts), size=(HOELDER_PAIRS, 2))
     drawn = drawn[drawn[:, 0] != drawn[:, 1]]
     consecutive = np.arange(len(all_pts) - 1)
     pi = np.concatenate([consecutive, drawn[:, 0]])
@@ -454,6 +466,11 @@ def validate_assumptions(
     diff = all_pts[pi] - all_pts[pj]
     gap = np.sqrt(rowdot(diff, diff))
     pi, pj, gap = pi[gap != 0.0], pj[gap != 0.0], gap[gap != 0.0]
+    if not len(gap):
+        raise ConfigError(
+            f"the domain is too small to sample: every distance between its "
+            f"{len(all_pts)} sample points is 0 in double precision"
+        )
 
     def norms(v: np.ndarray) -> np.ndarray:
         flat = v.reshape(len(v), -1)
@@ -566,11 +583,9 @@ def validate_assumptions(
     return ValidationReport(passed=passed, checks=checks, certificate=certificate if passed else None)
 
 
-def degeneracy_certificate(problem: ControlProblem, plan: SamplingPlan | None = None) -> DegeneracyCertificate:
+def degeneracy_certificate(problem: ControlProblem) -> DegeneracyCertificate:
     """Certificate from a full validation run; raises if validation fails."""
-    from .errors import NumericalError
-
-    report = validate_assumptions(problem, plan)
+    report = validate_assumptions(problem)
     if report.certificate is None:
         failure = report.first_failure()
         raise NumericalError(

@@ -27,7 +27,7 @@ def grid(preset: str, h: float) -> hj.Grid:
 
 @lru_cache(maxsize=None)
 def rvi_pair(preset: str, h: float, tol: float = 1e-9, dt: float = 0.05) -> hj.ErgodicPair:
-    return hj.solve_ergodic_rvi(grid(preset, h), hj.ErgodicSolverParams(tolerance=tol, dt=dt))
+    return hj.solve_ergodic_rvi(grid(preset, h), tol, dt)
 
 
 def dyadic_field(n: int, seed: int = 0, bits: int = 20) -> np.ndarray:

@@ -85,9 +85,8 @@ def test_criterion_2_a_priori_bound():
 
 def test_criterion_3_trivial_ergodic_pair():
     g = helpers.grid("constantL", 1e-3)
-    params = hj.ErgodicSolverParams(tolerance=1e-8, dt=0.05)
-    rvi = hj.solve_ergodic_rvi(g, params)
-    policy = hj.solve_ergodic_policy(g, params)
+    rvi = hj.solve_ergodic_rvi(g, 1e-8, 0.05)
+    policy = hj.solve_ergodic_policy(g, 1e-8)
     for pair in (rvi, policy):
         assert abs(pair.c + 2.0) < 1e-6, pair.method
         assert np.abs(pair.chi).max() <= 1e-6, pair.method

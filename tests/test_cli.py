@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import hjblab as hj
+from hjblab.problem import _preset_config
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
+DISK_CONFIG = os.path.join(PRESETS, os.pardir, "perfbench", "disk.json")
 
 
 def run_cli(*args, env=None, cwd=None, unset=()):
@@ -100,12 +107,40 @@ def _edited(edit) -> dict:
     ("validate", _edited(lambda c: c["regularity"].update(B=True)), "regularity: field 'B' is malformed: True"),
     ("validate", {"preset": "constantL", "L": True}, "preset constantL: field 'L' is malformed: True"),
     ("ergodic", _edited(lambda c: c.update(grid={"h": True})), "grid: field 'h' is malformed: True"),
+    # a number must be a finite JSON number: no string, no integer beyond a
+    # double, and not Infinity, NaN or a literal that Python's json reads as inf
+    ("validate", _edited(lambda c: c["domain"].update(x_hi="2")), "domain: field 'x_hi' is malformed: '2'"),
+    ("validate", _edited(lambda c: c["domain"].update(x_hi="1e999")),
+     "domain: field 'x_hi' is malformed: '1e999'"),
+    ("validate", _edited(lambda c: c["domain"].update(x_hi=np.inf)), "domain: field 'x_hi' is malformed: inf"),
+    pytest.param("validate", json.dumps(helpers.sigma_one_config()).replace('"x_hi": 1.0', '"x_hi": 1e999'),
+                 "domain: field 'x_hi' is malformed: inf", id="validate-literal-1e999"),
+    ("validate", _edited(lambda c: c["regularity"].update(eta=np.nan)),
+     "regularity: field 'eta' is malformed: nan"),
+    ("validate", _edited(lambda c: c["domain"].update(x_hi=10**400)), "domain: field 'x_hi' is malformed: 1000"),
+    ("validate", _edited(lambda c: c["regularity"].update(B=10**400)), "regularity: field 'B' is malformed: 1000"),
+    ("validate", dict(helpers.disk_config(), domain={"kind": "disk", "center": [0.0, 0.0], "radius": 10**400}),
+     "domain: field 'radius' is malformed: 1000"),
+    ("validate", {"preset": "constantL", "L": 10**400}, "preset constantL: field 'L' is malformed: 1000"),
+    ("ergodic", _edited(lambda c: c.update(grid={"h": 10**400})), "grid: field 'h' is malformed: 1000"),
+    ("ergodic", _edited(lambda c: c.update(grid={"h": "0.1"})), "grid: field 'h' is malformed: '0.1'"),
+    # a domain whose size overflows, or whose samples are 0 apart in double precision
+    ("validate", _edited(lambda c: c["domain"].update(x_lo=-1e308, x_hi=1e308)),
+     "interval (-1e+308, 1e+308) has no finite length"),
+    ("validate", dict(helpers.disk_config(), domain={"kind": "disk", "center": [0.0, 0.0], "radius": 1e308}),
+     "disk of radius 1e+308 has no finite diameter"),
+    ("validate", _edited(lambda c: c["domain"].update(x_hi=1e-300)),
+     "the domain is too small to sample: every distance between its"),
+    ("validate", dict(helpers.disk_config(), domain={"kind": "disk", "center": [0.0, 0.0], "radius": 1e-300}),
+     "the domain is too small to sample: every distance between its"),
+    ("validate", _edited(lambda c: c["domain"].update(x_hi=5e-324)),
+     "the domain is too small to sample: its deepest collar sample"),
 ])
 def test_malformed_config_field_exits_two(tmp_path, capsys, command, cfg, message):
     import hjblab.cli as cli
 
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out = tmp_path / "never"
     assert cli.run([command, str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -147,8 +182,102 @@ def test_oversized_grid_exits_two(tmp_path, capsys, kind, size, count):
     assert cli.run(["ergodic", str(path), "--h", "0.1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"would lay out {count} grid points, above the cap of {MAX_GRID_POINTS}" in err
+    if kind == "disk" and count == "inf":
+        # the diameter 2e308 overflows: the disk is refused before its grid
+        assert f"disk of radius {size} has no finite diameter" in err
+    else:
+        assert f"would lay out {count} grid points, above the cap of {MAX_GRID_POINTS}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "ergodic"])
+@pytest.mark.parametrize("field", ["b", "sigma", "l"])
+def test_coefficients_that_overflow_downstream_exit_one(tmp_path, capsys, command, field):
+    # 1e308*x1*x1 evaluates to finite values, whose squares, differences or
+    # quotients overflow in validation or in the stencil build
+    import hjblab.cli as cli
+
+    cfg = _preset_config("smoothA", {})
+    cfg["controls"][0][field] = {"b": ["1e308*x1*x1"], "sigma": [["1e308*x1*x1"]], "l": "1e308*x1*x1"}[field]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    code = cli.run([command, str(path), "--h", "0.1", "--out", str(out)])
+    err = capsys.readouterr().err
+    if command == "ergodic" and field == "l":
+        assert code == 1 and err.startswith("numerical failure: ")  # the solve refuses
+    else:
+        assert code == 1 and err.startswith("numerical failure: the ") and "overflow a double" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def _fuzz_bases() -> list[dict]:
+    """The four presets, expanded to their fields, and the benchmark's disk."""
+    bases = []
+    for name in helpers.PRESETS:
+        with open(preset_path(name)) as handle:
+            raw = json.load(handle)
+        rest = {k: v for k, v in raw.items() if k not in ("preset", "L")}
+        bases.append({**_preset_config(name, raw), **rest})
+    with open(DISK_CONFIG) as handle:
+        bases.append(json.load(handle))
+    return bases
+
+
+def _fuzz_paths(node, prefix=()):
+    """Every place in a config: the whole, each section, field and list entry."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _fuzz_paths(child, (*prefix, key))
+
+
+FUZZ_TARGETS = [(base, path) for base in _fuzz_bases() for path in _fuzz_paths(base)]
+# JSON text, spliced in as written: Python's json reads Infinity, NaN and the
+# literal 1e999 (as inf) and integers of any length
+FUZZ_VALUES = (
+    "null", "true", "false", "0", "-1", "1", "0.5", "2", "-0.0",
+    "5e-324", "1e-310", "1e-300", "1e-160", "1e154", "1e308", "-1e308", str(2**70), "1" + "0" * 400,
+    "Infinity", "-Infinity", "NaN", "1e999",
+    '"2"', '"1e999"', '"x1"', '""', '"1/d"', '"1e308*x1*x1"',
+    "[]", "[1]", "[[1]]", "{}", '{"a": 1}',
+)
+
+
+def _with_value(base: dict, path: tuple, value: str) -> str:
+    if not path:
+        return value
+    config = json.loads(json.dumps(base))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@value@"
+    return json.dumps(config).replace('"@value@"', value)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(st.sampled_from(FUZZ_TARGETS), st.sampled_from(FUZZ_VALUES))
+def test_bad_config_value_exits_cleanly(target, value):
+    # no traceback and no numpy warning (tier-1 makes a RuntimeWarning an
+    # error); exit 2 is one error line, and a refused run or a failed
+    # ergodic solve writes nothing
+    import hjblab.cli as cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as handle:
+            handle.write(_with_value(*target, value))
+        for command, flags in (("validate", ()), ("ergodic", ("--h", "0.1"))):
+            out = os.path.join(tmp, command)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.run([command, config, *flags, "--out", out])
+            assert code in (0, 1, 2), command
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            if code == 2 or (code == 1 and command == "ergodic"):
+                assert not os.path.exists(out), (command, code, err.getvalue())
 
 
 def test_import_validate_and_certify_leave_scipy_and_orjson_unloaded(tmp_path):
@@ -496,16 +625,37 @@ def test_holder_smoke(tmp_path):
     assert 0.3 < fit["uncapped_slope"] < 0.95
 
 
-@pytest.mark.parametrize("h, nodes", [("0.01", 4), ("0.004", 9)])
-def test_holder_default_range_too_few_nodes_exits_two(tmp_path, capsys, h, nodes):
+def _too_few(fit_range, nodes, h):
+    return (f"fit range {fit_range} holds {nodes} nodes at h={h}, fewer than the 10 a fit "
+            "needs: use a wider fit range or a finer h")
+
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    pytest.param(preset_path("degenerateB"), ("--h", "0.01"), _too_few((0.0125, 0.05), 4, 0.01), id="0.01-4"),
+    pytest.param(preset_path("degenerateB"), ("--h", "0.004"), _too_few((0.0125, 0.05), 9, 0.004),
+                 id="0.004-9"),
+    pytest.param(preset_path("degenerateB"), ("--h", "0.0005", "--fit-min", "0.0001", "--fit-max", "0.0002"),
+                 _too_few((0.0001, 0.0002), 0, 0.0005), id="empty-range"),
+    pytest.param(preset_path("degenerateB"),
+                 ("--h", "0.0005", "--side", "radial", "--fit-min", "0.01", "--fit-max", "0.011"),
+                 _too_few((0.01, 0.011), 5, 0.0005), id="radial-5"),
+    pytest.param(preset_path("degenerateB"), ("--h", "0.0005", "--fit-min", "0.01", "--fit-max", "0.4"),
+                 "fit range exceeds the collar", id="past-the-collar"),
+    pytest.param(DISK_CONFIG, ("--h", "0.02", "--side", "left"),
+                 "left/right sides exist only on interval domains", id="disk-left"),
+])
+def test_holder_default_range_too_few_nodes_exits_two(tmp_path, monkeypatch, capsys, config, flags, message):
+    # every refusal of the fit's side and range comes before the ergodic solve
     import hjblab.cli as cli
 
+    def never(*args, **kwargs):
+        raise AssertionError("the ergodic pair was computed")
+
+    monkeypatch.setattr(cli.ergodic, "solve_ergodic_policy", never)
     out = tmp_path / "never"
-    assert cli.run(["holder", preset_path("degenerateB"), "--h", h, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: fit range (0.0125, 0.05) holds {nodes} nodes at h={h}, fewer than the 10 a fit "
-        "needs: use a wider fit range or a finer h\n"
-    )
+    assert cli.run(["holder", config, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

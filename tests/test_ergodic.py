@@ -31,7 +31,7 @@ def _interior_residual(g, pair):
 def test_policy_matches_rvi(name):
     if name == "disk":
         g = _disk_grid()
-        rvi = hj.solve_ergodic_rvi(g, hj.ErgodicSolverParams(tolerance=1e-9, dt=0.05))
+        rvi = hj.solve_ergodic_rvi(g, 1e-9, 0.05)
     else:
         g = helpers.grid(name, 0.004)
         rvi = helpers.rvi_pair(name, 0.004)
@@ -58,15 +58,6 @@ def test_policy_iterates_on_two_controls(name, h, iterations):
     assert hj.solve_ergodic_policy(g).iterations == iterations
 
 
-@pytest.mark.parametrize("name", ["smoothA", "twoControlA", "disk"])
-def test_policy_anchor_independence(name):
-    g = _disk_grid() if name == "disk" else helpers.grid(name, 0.004)
-    p1 = hj.solve_ergodic_policy(g)
-    p2 = hj.solve_ergodic_policy(g, hj.ErgodicSolverParams(anchor_node=g.n // 4))
-    assert p2.c == pytest.approx(p1.c, abs=1e-10)
-    assert np.abs(p1.chi - p2.chi).max() <= 1e-10
-
-
 def test_policy_singular_operator_raises():
     flat = hj.assemble_problem(helpers.flat_config())
     with pytest.raises(NumericalError, match="singular"):
@@ -87,7 +78,7 @@ def test_policy_reducible_disk_operator_raises():
 def test_policy_residual_above_tolerance_raises():
     g = helpers.grid("smoothA", 0.004)
     with pytest.raises(NumericalError, match="residual"):
-        hj.solve_ergodic_policy(g, hj.ErgodicSolverParams(tolerance=1e-16))
+        hj.solve_ergodic_policy(g, 1e-16)
 
 
 def test_constant_cost_rvi():
@@ -123,17 +114,6 @@ def test_chi_normalization_invariant():
         assert pair.chi.max() == 0.0
 
 
-def test_anchor_independence():
-    g = helpers.grid("smoothA", 0.01)
-    tol = 1e-9
-    p1 = hj.solve_ergodic_rvi(g, hj.ErgodicSolverParams(tolerance=tol, dt=0.05))
-    p2 = hj.solve_ergodic_rvi(
-        g, hj.ErgodicSolverParams(tolerance=tol, dt=0.05, anchor_node=g.n // 4)
-    )
-    assert abs(p1.c - p2.c) < 10 * tol
-    assert np.abs(p1.chi - p2.chi).max() < 10 * tol
-
-
 def test_control_set_monotonicity():
     # enlarging the control list can only raise the ergodic constant
     single = helpers.rvi_pair("smoothA", 0.004)
@@ -153,8 +133,8 @@ def test_rvi_bracket_bounds_residual_and_c(name, tol):
     # the midpoint of a bracket narrower than tol is within tol/2 of c, and
     # H[u_k] = -delta_k puts the residual of the last field within tol/2
     g = _disk_grid() if name == "disk" else helpers.grid(name, 0.004)
-    rvi = hj.solve_ergodic_rvi(g, hj.ErgodicSolverParams(tolerance=tol))
-    policy = hj.solve_ergodic_policy(g, hj.ErgodicSolverParams(tolerance=tol))
+    rvi = hj.solve_ergodic_rvi(g, tol)
+    policy = hj.solve_ergodic_policy(g, tol)
     assert rvi.residual <= tol / 2
     assert rvi.boundary_residual <= tol / 2
     assert abs(rvi.c - policy.c) <= tol / 2
@@ -166,7 +146,7 @@ def test_rvi_stalled_bracket_raises():
     g = helpers.grid("smoothA", 0.01)
     start = time.perf_counter()
     with pytest.raises(NumericalError, match=r"stopped narrowing at width \d\.\d{3}e-14 in window"):
-        hj.solve_ergodic_rvi(g, hj.ErgodicSolverParams(tolerance=1e-15))
+        hj.solve_ergodic_rvi(g, 1e-15)
     assert time.perf_counter() - start < 1.0
 
 
@@ -185,9 +165,13 @@ def test_rvi_without_a_unique_constant_raises():
 
 
 def test_params_validation():
-    for tolerance in (-1.0, 0.0, np.nan, np.inf):
-        with pytest.raises(ConfigError, match="tolerance must be positive and finite"):
-            hj.ErgodicSolverParams(tolerance=tolerance)
+    # each bad tolerance is refused before the solver factors anything
+    for solve in (hj.solve_ergodic_policy, hj.solve_ergodic_rvi):
+        for tolerance in (-1.0, 0.0, np.nan, np.inf):
+            g = hj.build_grid(helpers.problem("smoothA"), 0.05)
+            with pytest.raises(ConfigError, match=f"tolerance must be positive and finite, got {tolerance}"):
+                solve(g, tolerance)
+            assert g.factorizations == 0
 
 
 def test_pair_serializes():

@@ -6,9 +6,10 @@ import pytest
 import helpers
 from hjblab import assemble_problem, validate_assumptions
 from hjblab import geometry as geo
+from hjblab import problem as pb
 from hjblab.errors import ConfigError, NumericalError
 from hjblab.iotools import dump_json
-from hjblab.problem import SamplingPlan, _interior_points, degeneracy_certificate
+from hjblab.problem import _interior_points, degeneracy_certificate
 
 
 def test_preset_constant_cost():
@@ -128,7 +129,7 @@ def test_validation_monotone_in_tol():
 
 
 def test_report_serializes():
-    report = validate_assumptions(helpers.problem("smoothA"), SamplingPlan(collar_per_side=60))
+    report = validate_assumptions(helpers.problem("smoothA"))
     blob = json.loads(dump_json(report))
     assert blob["passed"] is True
     assert {c["name"] for c in blob["checks"]} >= {"hoelder_b", "interior_ellipticity",
@@ -168,11 +169,11 @@ def _loop_pairs(seed: int, count: int, pairs: int) -> np.ndarray:
 
 @pytest.mark.parametrize("count", [384, 2624, 2**31 + 1])
 def test_one_shot_pair_draw_is_the_per_pair_stream(count):
-    # 384 and 2624 are the default plan's sample counts on an interval and a
-    # disk; at 2^31 + 1 numpy's bounded sampler rejects about half its draws
-    plan = SamplingPlan()
-    one_shot = np.random.default_rng(plan.seed).integers(0, count, size=(plan.pairs, 2))
-    assert np.array_equal(one_shot, _loop_pairs(plan.seed, count, plan.pairs))
+    # 384 and 2624 are the sample counts on an interval and a disk; at
+    # 2^31 + 1 numpy's bounded sampler rejects about half its draws
+    seed, pairs = pb.SAMPLING_SEED, pb.HOELDER_PAIRS
+    one_shot = np.random.default_rng(seed).integers(0, count, size=(pairs, 2))
+    assert np.array_equal(one_shot, _loop_pairs(seed, count, pairs))
 
 
 @pytest.mark.parametrize("domain, l, count", [
@@ -190,29 +191,28 @@ def test_hoelder_ratio_uses_the_per_pair_draws(domain, l, count):
         "controls": [{"b": b, "sigma": sigma, "l": l}],
         "regularity": {"B": 1.0, "eta": 0.01, "beta": 1.0},
     })
-    plan = SamplingPlan()
-    report = validate_assumptions(problem, plan)
+    report = validate_assumptions(problem)
     check = next(c for c in report.checks if c.name == "hoelder_l")
 
     rays, _ = geo.collar_ladder(
-        problem.domain, plan.d_min_factor * geo.diameter(problem.domain),
-        0.8 * geo.collar_width(problem.domain) * (1 - 1e-9), plan.collar_per_side, plan.directions,
+        problem.domain, pb.D_MIN_FACTOR * geo.diameter(problem.domain),
+        0.8 * geo.collar_width(problem.domain) * (1 - 1e-9), pb.COLLAR_SAMPLES,
     )
-    pts = np.concatenate([_interior_points(problem, plan), rays.reshape(-1, dim)])
+    pts = np.concatenate([_interior_points(problem), rays.reshape(-1, dim)])
     assert len(pts) == count
     cost = problem.cost(pts, 0)
 
     def max_ratio(seed: int) -> float:
-        drawn = _loop_pairs(seed, count, plan.pairs)
+        drawn = _loop_pairs(seed, count, pb.HOELDER_PAIRS)
         pi = np.concatenate([np.arange(count - 1), drawn[:, 0]])
         pj = np.concatenate([np.arange(1, count), drawn[:, 1]])
         gap = np.linalg.norm(pts[pi] - pts[pj], axis=1)
         keep = gap != 0.0
         return float((np.abs(cost[pi] - cost[pj])[keep] / gap[keep] ** 0.01).max())
 
-    assert check.detail["max_ratio"] == pytest.approx(max_ratio(plan.seed), rel=1e-13)
+    assert check.detail["max_ratio"] == pytest.approx(max_ratio(pb.SAMPLING_SEED), rel=1e-13)
     # the maximum tells the draws apart: other pairs give another one
-    assert check.detail["max_ratio"] != pytest.approx(max_ratio(plan.seed + 1), rel=1e-9)
+    assert check.detail["max_ratio"] != pytest.approx(max_ratio(pb.SAMPLING_SEED + 1), rel=1e-9)
 
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -0.01, -np.inf])
