@@ -16,7 +16,12 @@ no finite differences involved.  Two families matter:
 The certificate search finds the widest collar of a descending lattice
 on which the inequality holds pointwise on a geometric sample ladder.
 Profiles act on arrays of distances, and :func:`eval_F_radial` evaluates
-a whole block of points at once.
+a whole block of points at once.  A scan hands it whole boundary rays,
+``SCAN_BLOCK_POINTS`` samples at most per call: both sides of an
+interval, or two of a disk's 16 rays.  One call per ray paid numpy's
+per-call cost 16 times on a disk; one call for all 16 rays raised the
+peak memory of a certify process by 6-8 MB (about 15%), where blocks of
+two rays cost about 0.4 MB.
 """
 
 from __future__ import annotations
@@ -26,15 +31,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, overflow_is_numerical
 from .problem import (
     ControlProblem,
     DegeneracyCertificate,
     degeneracy_certificate,
+    gram,
     quadratic_form,
     rowdot,
     trace_product,
 )
+
+SCAN_BLOCK_POINTS = 4096   # collar samples per eval_F_radial call of a scan, in whole rays
+MAX_LATTICE_POINTS = 10**7  # candidate collar widths a scan may try
 
 
 class LyapunovProfile:
@@ -99,24 +108,29 @@ def eval_F_radial(problem: ControlProblem, profile, x):
 
     ``x`` must avoid the distance function's singular set (the interval
     midpoint / the disk center, where d attains the inradius); certificate
-    searches stay inside the collar, where d is always smooth.
+    searches stay inside the collar, where d is always smooth.  A profile
+    derivative that is not finite at a point raises :class:`ConfigError`;
+    products of the coefficients that overflow a double raise
+    :class:`NumericalError`.  Each names the first such point.
     """
     pts, single = geo.as_points(problem.domain, x)
     d, Dd, D2d = geo.distance(problem.domain, pts)
     ridge = d >= geo.inradius(problem.domain)
     if ridge.any():
         raise ConfigError(f"point at d={d[np.argmax(ridge)]} is on the distance function's ridge")
-    g1 = np.broadcast_to(np.asarray(profile.d1(d), dtype=float), d.shape)
-    g2 = np.broadcast_to(np.asarray(profile.d2(d), dtype=float), d.shape)
+    with np.errstate(over="ignore"):  # an overflow is refused as singular below
+        g1 = np.broadcast_to(np.asarray(profile.d1(d), dtype=float), d.shape)
+        g2 = np.broadcast_to(np.asarray(profile.d2(d), dtype=float), d.shape)
     singular = ~(np.isfinite(g1) & np.isfinite(g2))
     if singular.any():
         raise ConfigError(f"profile is singular at d={d[np.argmax(singular)]}")
     best = None
-    for ci in range(len(problem.controls)):
-        b = problem.drift(pts, ci)
-        a = problem.diffusion(pts, ci)
-        val = -rowdot(b, Dd) * g1 - trace_product(a, D2d) * g1 - quadratic_form(a, Dd) * g2
-        best = val if best is None else np.maximum(best, val)
+    with overflow_is_numerical("the coefficient products on the collar overflow a double"):
+        for ci in range(len(problem.controls)):
+            b, sigma = problem.drift_and_sigma(pts, ci)
+            a = gram(sigma)
+            val = -rowdot(b, Dd) * g1 - trace_product(a, D2d) * g1 - quadratic_form(a, Dd) * g2
+            best = val if best is None else np.maximum(best, val)
     return float(best[0]) if single else best
 
 
@@ -124,7 +138,10 @@ def _scan_delta(problem, profile, M, grid_step, theoretical=None):
     """Largest lattice delta with F[g] <= -M at every sample below it.
 
     The samples are a geometric d-ladder over the full collar along each
-    boundary ray, evaluated one ray at a time.  The running maximum of F
+    boundary ray.  They are evaluated in blocks of whole rays, in ray
+    order, ``SCAN_BLOCK_POINTS`` samples at most per block (see the module
+    docstring), so an error names the first bad point of the first bad
+    ray, as one call per ray would.  The running maximum of F
     over the samples sorted by d is nondecreasing, so the admissible
     collars are exactly ``dvals[0] < delta <= dvals[i]``, where ``i`` is
     the first sample at which ``cummax + M <= 0`` fails (NaN fails); with
@@ -136,8 +153,13 @@ def _scan_delta(problem, profile, M, grid_step, theoretical=None):
     dom = problem.domain
     width = geo.collar_width(dom)
     rays, ds = geo.collar_ladder(dom, 1e-9 * geo.diameter(dom), width * (1 - 1e-9), 2000)
+    per_block = max(1, SCAN_BLOCK_POINTS // len(ds))
+    F = np.concatenate([
+        eval_F_radial(problem, profile, rays[i : i + per_block].reshape(-1, rays.shape[2]))
+        for i in range(0, len(rays), per_block)
+    ])
     # samples sorted by d; samples at equal d in ray order
-    F = np.stack([eval_F_radial(problem, profile, ray) for ray in rays], axis=1).ravel()
+    F = F.reshape(len(rays), len(ds)).T.ravel()
     dvals = np.repeat(ds, len(rays))
     # cumulative max of F over samples with d below a threshold
     cummax = np.maximum.accumulate(F)
@@ -174,13 +196,19 @@ def _scan_delta(problem, profile, M, grid_step, theoretical=None):
 
 
 def _check_scan_inputs(problem: ControlProblem, M: float, grid_step: float) -> None:
-    """Refuse a non-finite ``M`` and a lattice step outside (0, collar width]."""
+    """Refuse a non-finite ``M``, a lattice step outside (0, collar width]
+    and one that makes more than ``MAX_LATTICE_POINTS`` lattice points."""
     if not np.isfinite(M):
         raise ConfigError(f"M must be finite, got {M}")
     width = geo.collar_width(problem.domain)
     if not 0 < grid_step <= width:
         raise ConfigError(
             f"grid_step must be finite and lie in (0, {width}], the collar width; got {grid_step}"
+        )
+    if width / grid_step > MAX_LATTICE_POINTS:
+        raise ConfigError(
+            f"grid_step {grid_step} makes {width / grid_step:.3g} lattice points in the "
+            f"collar width {width}; at most {MAX_LATTICE_POINTS} are allowed"
         )
 
 

@@ -102,6 +102,7 @@ from .grid import (
     cfl_dt,
     control_values,
     frozen_matrix,
+    policy_cost,
     require_no_boundary_data,
 )
 
@@ -330,7 +331,7 @@ def howard_solve(grid: Grid, u_old: GridField, dt: float) -> tuple[GridField, in
 
     def evaluate(policy, sweep):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to _check_finite
-            rhs = u_old + dt * grid.l[policy, np.arange(grid.n)]
+            rhs = u_old + dt * policy_cost(grid, policy)
             u = frozen_factor(grid, policy, scale=dt, shift=1.0).solve(rhs)
         _check_finite(grid, u)
         return u

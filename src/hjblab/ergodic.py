@@ -67,7 +67,7 @@ import numpy as np
 
 from .cauchy import frozen_factor, march, policy_iteration
 from .errors import ConfigError, NumericalError
-from .grid import Grid, GridField, apply_H, generator_at, require_no_boundary_data
+from .grid import Grid, GridField, apply_H, generator_at, policy_cost, require_no_boundary_data
 
 RVI_DT = 0.05
 MAX_WINDOWS = 10_000  # unit windows of one rvi solve
@@ -152,7 +152,7 @@ def solve_ergodic_policy(grid: Grid, tolerance: float = 1e-8) -> ErgodicPair:
 
     def evaluate(policy, iteration):
         nonlocal c
-        rhs[:, 0] = grid.l[policy, np.arange(n)]
+        rhs[:, 0] = policy_cost(grid, policy)
         rhs[anchor, 0] = 0.0
         try:
             yz = frozen_factor(grid, policy, scale=1.0, shift=0.0, pin=anchor).solve(rhs)

@@ -96,8 +96,10 @@ def as_points(dom: Domain, x) -> tuple[np.ndarray, bool]:
 
 
 def _radius(dom: Disk, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    delta = pts - np.asarray(dom.center, dtype=float)
-    return delta, np.hypot(delta[:, 0], delta[:, 1])
+    """Offsets of the points from the center, component-major (2, m), and
+    their lengths (m,)."""
+    delta = np.stack([pts[:, k] - float(c) for k, c in enumerate(dom.center)])
+    return delta, np.hypot(delta[0], delta[1])
 
 
 def distance_value(dom: Domain, x):
@@ -120,7 +122,10 @@ def distance(dom: Domain, x):
     """Distance triple (d, Dd, D2d) at strictly interior points.
 
     For one point: a float, an (N,) and an (N, N) array.  For a block of
-    points (m, N): arrays of shape (m,), (m, N) and (m, N, N).  Raises
+    points (m, N): arrays of shape (m,), (m, N) and (m, N, N).  On a disk
+    Dd and D2d are built component by component, each entry a contiguous
+    (m,) row, and returned as transposed views in those shapes, the
+    layout of :meth:`ControlProblem._values`.  Raises
     :class:`ConfigError` if any point lies outside the domain or at the
     disk center, where Dd is undefined.
     """
@@ -146,9 +151,10 @@ def distance(dom: Domain, x):
             raise ConfigError(f"point {pts[np.argmax(outside)].tolist()} is not strictly inside the disk")
         if (r == 0.0).any():
             raise ConfigError("distance gradient is undefined at the disk center")
-        n = delta / r[:, None]
-        D2d = -(np.eye(2) - n[:, :, None] * n[:, None, :]) / r[:, None, None]
-        d, Dd = dom.radius - r, -n
+        n = delta / r  # (2, m)
+        D2d = -(np.eye(2)[:, :, None] - n[:, None, :] * n[None, :, :]) / r  # (2, 2, m)
+        D2d = D2d.transpose(2, 0, 1)
+        d, Dd = dom.radius - r, (-n).T
     if single:
         return float(d[0]), Dd[0], D2d[0]
     return d, Dd, D2d
@@ -166,8 +172,8 @@ def boundary_foot(dom: Domain, x):
         delta, r = _radius(dom, pts)
         if (r == 0.0).any():
             raise ConfigError("boundary foot is undefined at the disk center")
-        n = delta / r[:, None]
-        foot, normal = np.asarray(dom.center) + dom.radius * n, -n
+        n = delta / r
+        foot, normal = (np.asarray(dom.center)[:, None] + dom.radius * n).T, (-n).T
     if single:
         return foot[0], normal[0]
     return foot, normal

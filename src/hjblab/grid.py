@@ -359,6 +359,12 @@ def _explicit_rates(grid: Grid) -> np.ndarray:
     return _side_sums(grid, np.abs(grid._coef))
 
 
+def policy_cost(grid: Grid, policy: np.ndarray) -> GridField:
+    """The running cost under frozen per-node controls, ``l[policy[i], i]``;
+    with one control it is the grid's own read-only row, with no gather."""
+    return grid.l[0] if grid.n_controls == 1 else grid.l[policy, np.arange(grid.n)]
+
+
 def generator_at(grid: Grid, control: int, node: int, u: np.ndarray):
     """``(A_control u)[node]``, the frozen generator's row of one node, in
     neighbor differences; ``u`` is a field or one field per column."""

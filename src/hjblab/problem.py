@@ -98,10 +98,16 @@ class ControlProblem:
 
     def _values(self, trees, x) -> np.ndarray:
         """The trees at one point, (len(trees),), or at a block of points,
-        (m, len(trees)); a point gets the same bits either way."""
+        (m, len(trees)); a point gets the same bits either way.
+
+        The values are stacked component-major, one contiguous (m,) row
+        per tree, and the block is the transposed view of that stack: the
+        same shape, but ``vals[..., k]`` is a contiguous row, so the
+        products of this module (``rowdot`` and those built on it) read
+        and write contiguous arrays."""
         pts, single = geo.as_points(self.domain, x)
         bd = self.bindings(pts)
-        vals = np.stack([ex.evaluate(t, bd) for t in trees], axis=-1)
+        vals = np.stack([ex.evaluate(t, bd) for t in trees]).T
         return vals[0] if single else vals
 
     def drift(self, x, ci: int) -> np.ndarray:
@@ -113,6 +119,14 @@ class ControlProblem:
         rows = self.controls[ci].sigma
         vals = self._values([e for row in rows for e in row], x)
         return vals.reshape(*vals.shape[:-1], len(rows), -1)
+
+    def drift_and_sigma(self, x, ci: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`drift` and :meth:`sigma_matrix` from one evaluation of the
+        control's trees, so from one set of bindings."""
+        c = self.controls[ci]
+        n = len(c.b)
+        vals = self._values(c.b + sum(c.sigma, ()), x)
+        return vals[..., :n], vals[..., n:].reshape(*vals.shape[:-1], n, -1)
 
     def diffusion(self, x, ci: int) -> np.ndarray:
         """a = sigma sigma^T at one point, (N, N), or at a block, (m, N, N)."""
@@ -452,8 +466,7 @@ def validate_assumptions(problem: ControlProblem, tol: float = 0.05) -> Validati
     n_int = len(interior_pts)
     all_pts = np.concatenate([interior_pts, collar_pts])
     coeffs = [
-        (problem.drift(all_pts, ci), problem.sigma_matrix(all_pts, ci), problem.cost(all_pts, ci))
-        for ci in range(n_controls)
+        (*problem.drift_and_sigma(all_pts, ci), problem.cost(all_pts, ci)) for ci in range(n_controls)
     ]
 
     # (i) Hoelder ratios for b, l (exponent eta) and sigma (exponent beta)

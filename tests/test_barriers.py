@@ -204,7 +204,11 @@ def test_binary_search_delta_equals_the_linear_scan(monkeypatch):
         rays = np.broadcast_to(np.arange(n_rays)[:, None, None], (n_rays, len(ds), 1))
         columns = F.reshape(len(ds), n_rays)
         monkeypatch.setattr(barriers.geo, "collar_ladder", lambda *args: (rays, ds))
-        monkeypatch.setattr(barriers, "eval_F_radial", lambda p, g, ray: columns[:, int(ray[0, 0])])
+        # a block holds whole rays, ray-major; each point's coordinate is its ray
+        monkeypatch.setattr(
+            barriers, "eval_F_radial",
+            lambda p, g, pts: columns[np.arange(len(pts)) % len(ds), pts[:, 0].astype(int)],
+        )
         expected = _linear_scan(F, ds, n_rays, width, grid_step, M, theoretical)
         if expected is None:
             with pytest.raises(NumericalError, match="no admissible delta"):
@@ -242,3 +246,90 @@ def test_grid_step_of_the_whole_collar_is_one_lattice_point():
     assert hj.find_lyapunov_delta(SMOOTH, 1.0, 0.0, grid_step=width).delta == width
     with pytest.raises(NumericalError):
         hj.find_lyapunov_delta(SMOOTH, 1.0, 10.0, grid_step=width)
+
+
+DISK = hj.assemble_problem(helpers.disk_config())
+# (problem, lyapunov (lambda, M), barrier (rho, M)): the benchmark's searches,
+# and constantL's with smoothA's parameters
+SCAN_CASES = {
+    "constantL": (helpers.problem("constantL"), (1.0, 10.0), (0.5, 1.0)),
+    "smoothA": (SMOOTH, (1.0, 10.0), (0.5, 1.0)),
+    "degenerateB": (helpers.problem("degenerateB"), (0.5, 2.0), (0.3, 1.0)),
+    "twoControlA": (helpers.problem("twoControlA"), (1.0, 10.0), (0.5, 1.0)),
+    "disk": (DISK, (1.0, 10.0), (0.5, 1.0)),
+}
+
+
+def _search(name, family):
+    problem, lyapunov, barrier = SCAN_CASES[name]
+    if family == "lyapunov":
+        return hj.find_lyapunov_delta(problem, *lyapunov)
+    return hj.find_barrier_delta(problem, *barrier)
+
+
+@pytest.mark.parametrize("family", ["lyapunov", "barrier"])
+@pytest.mark.parametrize("name", list(SCAN_CASES))
+def test_blocked_scan_equals_the_per_ray_scan(monkeypatch, name, family):
+    blocked = _search(name, family)
+    monkeypatch.setattr(barriers, "SCAN_BLOCK_POINTS", 1)  # one ray per call
+    per_ray = _search(name, family)
+    assert blocked.delta > 0.0
+    assert (blocked.delta, blocked.margin, blocked.theoretical_margin) == (
+        per_ray.delta, per_ray.margin, per_ray.theoretical_margin
+    )
+    assert blocked.witness_table == per_ray.witness_table
+
+
+@pytest.mark.parametrize("name", ["smoothA", "disk"])
+def test_scan_blocks_are_whole_rays_in_ray_order(monkeypatch, name):
+    problem = SCAN_CASES[name][0]
+    calls = []
+
+    def recording(p, profile, pts):
+        calls.append(np.array(pts))
+        return eval_F_radial(p, profile, pts)
+
+    monkeypatch.setattr(barriers, "eval_F_radial", recording)
+    _search(name, "lyapunov")
+    dom = problem.domain
+    width = geo.collar_width(dom)
+    rays, ds = geo.collar_ladder(dom, 1e-9 * geo.diameter(dom), width * (1 - 1e-9), 2000)
+    per_block = barriers.SCAN_BLOCK_POINTS // len(ds)
+    assert per_block >= 1
+    assert len(calls) == -(-len(rays) // per_block)  # ceil: full blocks, the last may be short
+    assert all(len(c) <= barriers.SCAN_BLOCK_POINTS and len(c) % len(ds) == 0 for c in calls)
+    assert np.array_equal(np.concatenate(calls), rays.reshape(-1, problem.dim))
+    if name == "disk":
+        assert 1 < len(calls) < len(rays)  # neither one call per ray nor one for all
+
+
+@pytest.mark.parametrize("source", ["log(x2 + 0.5)", "log(0.8 + x2 - d)"])
+def test_blocked_scan_names_the_fault_that_the_per_ray_scan_names(monkeypatch, source):
+    # both fault on the collar (d < 0.5) of the rays at 225 to 315 degrees
+    # only.  The second faults on the 225-degree ray only beyond d = 0.317,
+    # but on the 247.5-degree ray, in the same block, from the deepest
+    # sample on, so only a ray-major block names the 225-degree ray first
+    cfg = helpers.disk_config()
+    cfg["controls"][0]["b"] = ["-x1", f"-x2 + {source}"]
+    problem = hj.assemble_problem(cfg)
+    with pytest.raises(NumericalError) as blocked:
+        hj.find_lyapunov_delta(problem, 1.0, 10.0)
+    monkeypatch.setattr(barriers, "SCAN_BLOCK_POINTS", 1)
+    with pytest.raises(NumericalError) as per_ray:
+        hj.find_lyapunov_delta(problem, 1.0, 10.0)
+    assert str(blocked.value) == str(per_ray.value)
+    point = blocked.value.point
+    assert "log" in str(blocked.value) and point["x1"] == pytest.approx(point["x2"])
+
+
+def test_coefficient_products_are_defined_in_problem_only():
+    import pathlib
+    import re
+
+    src = pathlib.Path(hj.__file__).parent
+    found = {
+        path.name: re.findall(r"^\s*def (rowdot|gram|trace_product|quadratic_form)\b", path.read_text(), re.M)
+        for path in sorted(src.glob("*.py"))
+    }
+    assert sorted(found.pop("problem.py")) == ["gram", "quadratic_form", "rowdot", "trace_product"]
+    assert not any(found.values()), found

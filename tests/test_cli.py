@@ -212,6 +212,39 @@ def test_coefficients_that_overflow_downstream_exit_one(tmp_path, capsys, comman
     assert not out.exists()
 
 
+def test_certify_singular_profile_exits_two_without_a_warning(tmp_path, capsys):
+    # d^-201 overflows at the deepest sample: the profile is refused, and
+    # numpy's overflow warning (an error under tier-1) is not raised
+    import hjblab.cli as cli
+
+    out = tmp_path / "never"
+    code = cli.run(["certify", preset_path("smoothA"), "--family", "lyapunov", "--param", "200",
+                    "--M", "10", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: profile is singular at d=1e-09\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, param, M", [("lyapunov", "1", "10"), ("barrier", "0.5", "1")])
+@pytest.mark.parametrize("field", ["b", "sigma"])
+def test_certify_overflowing_products_exit_one(tmp_path, capsys, family, param, M, field):
+    # finite as evaluated; the collar products (or, for the barrier family,
+    # the validation it runs first) overflow
+    import hjblab.cli as cli
+
+    cfg = _preset_config("smoothA", {})
+    cfg["controls"][0][field] = {"b": ["1e308*x1*x1"], "sigma": [["1e308*x1*x1"]]}[field]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    code = cli.run(["certify", str(path), "--family", family, "--param", param, "--M", M,
+                    "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("numerical failure: the ") and "overflow a double" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _fuzz_bases() -> list[dict]:
     """The four presets, expanded to their fields, and the benchmark's disk."""
     bases = []
@@ -260,15 +293,19 @@ def _with_value(base: dict, path: tuple, value: str) -> str:
 @given(st.sampled_from(FUZZ_TARGETS), st.sampled_from(FUZZ_VALUES))
 def test_bad_config_value_exits_cleanly(target, value):
     # no traceback and no numpy warning (tier-1 makes a RuntimeWarning an
-    # error); exit 2 is one error line, and a refused run or a failed
-    # ergodic solve writes nothing
+    # error); exit 2 is one error line, and a refused run, a failed ergodic
+    # solve or a failed certificate search writes nothing
     import hjblab.cli as cli
 
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
         with open(config, "w") as handle:
             handle.write(_with_value(*target, value))
-        for command, flags in (("validate", ()), ("ergodic", ("--h", "0.1"))):
+        for command, flags in (
+            ("validate", ()),
+            ("ergodic", ("--h", "0.1")),
+            ("certify", ("--family", "lyapunov", "--param", "1", "--M", "10")),
+        ):
             out = os.path.join(tmp, command)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -276,7 +313,7 @@ def test_bad_config_value_exits_cleanly(target, value):
             assert code in (0, 1, 2), command
             if code == 2:
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-            if code == 2 or (code == 1 and command == "ergodic"):
+            if code == 2 or (code == 1 and command != "validate"):
                 assert not os.path.exists(out), (command, code, err.getvalue())
 
 
@@ -378,6 +415,7 @@ def test_certify_failure_exits_one(tmp_path):
 @pytest.mark.parametrize("family", ["lyapunov", "barrier"])
 @pytest.mark.parametrize("knob, value", [
     ("--grid-step", "0"), ("--grid-step", "nan"), ("--grid-step", "-0.01"), ("--grid-step", "5"),
+    ("--grid-step", "1e-300"), ("--grid-step", "1e-12"),  # lattices refused before they are built
     ("--M", "nan"),
 ])
 def test_certify_refuses_bad_inputs(tmp_path, family, knob, value):

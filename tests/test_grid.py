@@ -453,3 +453,13 @@ def test_disk_apply_constant():
     assert np.array_equal(out, np.full(g.n, -2.0))
     rep = stencil_report(g)
     assert rep.exterior_reference_count == 0
+
+
+def test_grid_tables_are_c_contiguous():
+    # the coefficient methods return component-major views; the build
+    # copies them into its own tables, which the kernels read in C order
+    disk = hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.125)
+    for g in (helpers.grid("twoControlA", 0.01), disk):
+        tables = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
+        assert {"x", "d", "l", "_gather", "_coef"} <= tables.keys()
+        assert [k for k, v in tables.items() if not v.flags.c_contiguous] == []

@@ -26,6 +26,18 @@ def test_preset_smooth_values():
     assert p.cost([0.25], 0) == 0.25
 
 
+def test_drift_and_sigma_is_one_evaluation_of_drift_and_sigma_matrix():
+    disk = assemble_problem(helpers.two_control_disk_config())
+    pts = np.stack([np.linspace(-0.6, 0.6, 50), np.linspace(0.3, -0.5, 50)], axis=1)
+    for ci in range(2):
+        b, s = disk.drift_and_sigma(pts, ci)
+        assert np.array_equal(b, disk.drift(pts, ci)) and np.array_equal(s, disk.sigma_matrix(pts, ci))
+        # component-major: each component of the block is a contiguous row
+        assert all(b[:, k].flags.c_contiguous and s[:, k, k].flags.c_contiguous for k in range(2))
+        one_b, one_s = disk.drift_and_sigma(pts[7], ci)
+        assert np.array_equal(one_b, b[7]) and np.array_equal(one_s, s[7])
+
+
 def test_preset_two_controls():
     p = helpers.problem("twoControlA")
     assert len(p.controls) == 2
