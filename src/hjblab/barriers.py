@@ -125,9 +125,10 @@ def eval_F_radial(problem: ControlProblem, profile, x):
     if singular.any():
         raise ConfigError(f"profile is singular at d={d[np.argmax(singular)]}")
     best = None
+    bd = problem.bindings(pts, d)  # one distance evaluation per block
     with overflow_is_numerical("the coefficient products on the collar overflow a double"):
         for ci in range(len(problem.controls)):
-            b, sigma = problem.drift_and_sigma(pts, ci)
+            b, sigma = problem.drift_and_sigma(pts, ci, bd)
             a = gram(sigma)
             val = -rowdot(b, Dd) * g1 - trace_product(a, D2d) * g1 - quadratic_form(a, Dd) * g2
             best = val if best is None else np.maximum(best, val)

@@ -30,17 +30,22 @@ keep a few floats of it), so no evolution is held in memory.
 
 An implicit step checks its own solve for finiteness, and its error
 names the time the step was to reach.  An explicit window runs as one
-tight loop of ``u - dt H[u]`` (``_explicit_window``), with no per-step
-bookkeeping, and is checked once, at its end.  That check misses
-nothing: a non-finite ``u_i`` makes every stencil term ``coef * (u_j -
-u_i)`` of node i non-finite (``0 * inf`` is nan), so H[u]_i, the
-maximum over controls of such sums, is non-finite too, and so is
-``u_i - dt H[u]_i``; once an entry is non-finite it stays so until the
-window ends.  A window that ends
-non-finite is replayed from its start state one :func:`step_explicit`
-at a time, checked after each step, which raises the same error, with
-the node, x and time of the first non-finite step, that a stepwise
-march would.
+call of :func:`hjblab.grid.explicit_window` (``_explicit_window`` here),
+the steps ``u - dt H[u]`` with no per-step bookkeeping: on an interval a
+kernel on preallocated buffers, on a disk a loop over
+:func:`hjblab.grid.apply_H`, the same bits either way.  The window is
+checked once, at its end.  That check misses nothing: a non-finite
+``u_i`` makes every stencil term ``coef * (u_j - u_i)`` of node i
+non-finite (``0 * inf`` is nan), so H[u]_i, the maximum over controls of
+such sums, is non-finite too, and so is ``u_i - dt H[u]_i``; once an
+entry is non-finite it stays so until the window ends.  A window is kept
+only when it ends finite, so every step kept was taken from a finite
+field, where the interval kernel and ``u - dt * apply_H`` agree bit for
+bit: :func:`initial_state` checks the start, and a window that ends
+non-finite is replayed from its finite start state one
+:func:`step_explicit` at a time, checked after each step, which raises
+the same error, with the node, x and time of the first non-finite step,
+that a stepwise march would.
 
 The frozen-control matrix, :func:`hjblab.grid.frozen_matrix`, is
 assembled beside the stencil tables it reads (in 2-D through the CSC
@@ -98,13 +103,14 @@ from .errors import ConfigError, NumericalError
 from .grid import (
     Grid,
     GridField,
-    apply_H,
+    apply_H,  # unused here; perfbench/selftest.py reads hjblab.cauchy.apply_H
     cfl_dt,
     control_values,
     frozen_matrix,
     policy_cost,
     require_no_boundary_data,
 )
+from .grid import explicit_window as _explicit_window
 
 BOUND_RTOL = 1e-9
 # the compiled scipy modules of the 1-D and the 2-D factor
@@ -154,15 +160,6 @@ def initial_state(grid: Grid, u0: GridField) -> CauchyState:
     if not np.isfinite(u0).all():
         raise ConfigError("u0 contains non-finite entries")
     return CauchyState(t=0.0, u=u0.copy(), u0_sup=float(np.abs(u0).max()), l_sup=grid.l_sup())
-
-
-def _explicit_window(grid: Grid, u: GridField, count: int, dt: float) -> GridField:
-    """``count`` forward Euler steps of ``dt`` from ``u``, unchecked: the
-    caller has checked dt against the CFL bound and checks the result
-    for finiteness."""
-    for _ in range(count):
-        u = u - dt * apply_H(grid, u)
-    return u
 
 
 def step_explicit(grid: Grid, state: CauchyState, dt: float) -> CauchyState:

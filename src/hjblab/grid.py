@@ -51,6 +51,10 @@ stencil tables: :func:`control_values` reads all 2N
 neighbor values with one gather and forms every control's stencil terms
 with one difference and one product, so its cost per call is a fixed
 handful of array operations, whatever N and the number of controls;
+:func:`explicit_window` runs a window of forward Euler steps, on an
+interval as a sliced kernel: the neighbors sit at constant offsets
+there, so each step is a few ufunc calls on contiguous views of buffers
+allocated once per window, with the bits of ``u - dt * apply_H``;
 :func:`frozen_matrix` assembles the frozen-control matrix that
 :func:`hjblab.cauchy.frozen_factor` factors, and :func:`generator_at`
 one row of it.
@@ -325,6 +329,57 @@ def control_values(grid: Grid, u: GridField) -> np.ndarray:
 def apply_H(grid: Grid, u: GridField) -> GridField:
     """Node-wise Bellman operator: max over controls of the stencil values."""
     return np.maximum.reduce(control_values(grid, u), axis=0)
+
+
+def explicit_window(grid: Grid, u: GridField, count: int, dt: float) -> GridField:
+    """``count`` forward Euler steps ``u - dt H[u]`` of ``dt`` from ``u``,
+    unchecked: the caller has checked dt against the CFL bound and checks
+    the result for finiteness.  ``u`` is not modified, and the result is a
+    new array.
+
+    On a disk, whose neighbors are not at constant offsets, each step is
+    ``u - dt * apply_H(grid, u)``.  On an interval they are, so the window
+    allocates its buffers once and runs each step as a few ufunc calls on
+    contiguous views, with no gather and no temporary: the neighbor
+    differences, the side products, ``(m + p) - l``, the maximum over the
+    controls in index order and ``u - dt H``.  These are the operations of
+    :func:`control_values`, :func:`apply_H` and ``u - dt * H``, in the same
+    order, so every step has the same bits on a finite field; a missing
+    side keeps the +0.0 that ``u_i - u_i`` gives there.
+    """
+    u = np.array(u, dtype=float)
+    if grid.ndim > 1:
+        for _ in range(count):
+            u = u - dt * apply_H(grid, u)
+        return u
+    n, C = grid.n, grid.n_controls
+    if u.shape != (n,):
+        raise ConfigError(f"field has shape {u.shape}, expected ({n},)")
+    diffs = np.zeros((2, n))  # the minus and plus side; a missing side stays +0.0
+    terms = np.empty((2, C, n))
+    values, plus_terms = terms  # values: (C, n), A_c u - l_c once the sides are summed
+    H = values[0] if C == 1 else np.empty(n)
+    fields = (u, np.empty(n))
+    # every view a step reads or writes, built once; the two fields swap
+    # roles each step, and step k reads fields[k % 2]
+    roles = [(cur[:-1], cur[1:], cur, nxt) for cur, nxt in (fields, fields[::-1])]
+    minus, plus, l = diffs[0, 1:], diffs[1, :-1], grid.l
+    products = [(grid._coef[s, c], diffs[s], terms[s, c]) for s in range(2) for c in range(C)]
+    maxima = [(values[0], values[1])] + [(H, v) for v in values[2:]] if C > 1 else []
+    add, subtract, multiply, maximum = np.add, np.subtract, np.multiply, np.maximum
+    for k in range(count):
+        left, right, cur, nxt = roles[k & 1]
+        subtract(left, right, minus)
+        subtract(right, left, plus)
+        for coef, side, term in products:
+            multiply(coef, side, term)
+        add(values, plus_terms, values)
+        subtract(values, l, values)
+        for a, b in maxima:
+            maximum(a, b, out=H)  # a positional out is deprecated for maximum
+        multiply(H, dt, H)
+        subtract(cur, H, nxt)
+    return fields[count & 1]
 
 
 def require_no_boundary_data(grid: Grid) -> None:

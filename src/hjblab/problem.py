@@ -87,18 +87,20 @@ class ControlProblem:
     def dim(self) -> int:
         return geo.dim(self.domain)
 
-    def bindings(self, x) -> dict:
+    def bindings(self, x, d=None) -> dict:
         """Variable bindings at one point (floats) or at a block of points
-        (m, N) (arrays of shape (m,))."""
+        (m, N) (arrays of shape (m,)).  ``d`` is the boundary distance at
+        the points, when the caller has it already."""
         pts, single = geo.as_points(self.domain, x)
-        b = {"x1": pts[:, 0], "d": geo.distance_value(self.domain, pts)}
+        b = {"x1": pts[:, 0], "d": geo.distance_value(self.domain, pts) if d is None else d}
         if self.dim == 2:
             b["x2"] = pts[:, 1]
         return {k: float(v[0]) for k, v in b.items()} if single else b
 
-    def _values(self, trees, x) -> np.ndarray:
+    def _values(self, trees, x, bd=None) -> np.ndarray:
         """The trees at one point, (len(trees),), or at a block of points,
-        (m, len(trees)); a point gets the same bits either way.
+        (m, len(trees)); a point gets the same bits either way.  ``bd``
+        holds the :meth:`bindings` at ``x``, when the caller has built them.
 
         The values are stacked component-major, one contiguous (m,) row
         per tree, and the block is the transposed view of that stack: the
@@ -106,7 +108,8 @@ class ControlProblem:
         products of this module (``rowdot`` and those built on it) read
         and write contiguous arrays."""
         pts, single = geo.as_points(self.domain, x)
-        bd = self.bindings(pts)
+        if bd is None:
+            bd = self.bindings(pts)
         vals = np.stack([ex.evaluate(t, bd) for t in trees]).T
         return vals[0] if single else vals
 
@@ -120,12 +123,12 @@ class ControlProblem:
         vals = self._values([e for row in rows for e in row], x)
         return vals.reshape(*vals.shape[:-1], len(rows), -1)
 
-    def drift_and_sigma(self, x, ci: int) -> tuple[np.ndarray, np.ndarray]:
+    def drift_and_sigma(self, x, ci: int, bd=None) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`drift` and :meth:`sigma_matrix` from one evaluation of the
-        control's trees, so from one set of bindings."""
+        control's trees, so from one set of bindings: ``bd`` if given."""
         c = self.controls[ci]
         n = len(c.b)
-        vals = self._values(c.b + sum(c.sigma, ()), x)
+        vals = self._values(c.b + sum(c.sigma, ()), x, bd)
         return vals[..., :n], vals[..., n:].reshape(*vals.shape[:-1], n, -1)
 
     def diffusion(self, x, ci: int) -> np.ndarray:

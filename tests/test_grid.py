@@ -9,7 +9,13 @@ import hjblab as hj
 from hjblab.cauchy import initial_state, policy_iteration
 from hjblab.errors import ConfigError
 from hjblab.geometry import boundary_foot, diameter
-from hjblab.grid import BoundaryClosure, control_values, frozen_matrix, stencil_report
+from hjblab.grid import (
+    BoundaryClosure,
+    control_values,
+    explicit_window,
+    frozen_matrix,
+    stencil_report,
+)
 from hjblab.problem import quadratic_form
 
 
@@ -90,6 +96,59 @@ def test_only_the_grid_module_names_its_tables_and_boundary_record():
             assert named == {*tables, *BoundaryClosure._fields, ".closure"}
         else:
             assert not named, path.name
+
+
+def three_control_interval() -> hj.ControlProblem:
+    """A degenerate interval problem whose three controls each win the
+    maximum of H[0] on a third of the nodes."""
+    return hj.assemble_problem({
+        "domain": {"kind": "interval", "x_lo": 0.0, "x_hi": 1.0},
+        "controls": [
+            {"b": ["0.5-x1"], "sigma": [["d"]], "l": "x1"},
+            {"b": ["0.2*(0.5-x1)"], "sigma": [["0.5*d"]], "l": "1-x1"},
+            {"b": ["0"], "sigma": [["2*d"]], "l": "0.3"},
+        ],
+        "regularity": {"B": 2.0, "eta": 1.0, "beta": 1.0},
+    })
+
+
+def _operator_steps(g, u, count, dt):
+    for _ in range(count):
+        u = u - dt * hj.apply_H(g, u)
+    return u
+
+
+@pytest.mark.parametrize("make", [
+    lambda: helpers.grid("smoothA", 0.01),
+    lambda: helpers.grid("twoControlA", 0.002),
+    lambda: helpers.grid("degenerateB", 0.01),
+    lambda: hj.build_grid(three_control_interval(), 0.01),
+    lambda: hj.build_grid(hj.assemble_problem(helpers.two_control_disk_config()), 0.1),
+], ids=["smoothA", "twoControlA", "degenerateB", "threeControls", "disk"])
+def test_explicit_window_is_the_operator_step_bit_for_bit(make):
+    # the sliced 1-D window and the disk's loop both take exactly the steps
+    # u - dt H[u] of the operator's definition, in both buffer roles
+    g = make()
+    if g.n_controls == 3:
+        assert set(np.argmax(control_values(g, np.zeros(g.n)), axis=0)) == {0, 1, 2}
+    dt = 0.999 * hj.cfl_dt(g)
+    dyadic = helpers.dyadic_field(g.n, seed=4)
+    fields = {
+        "zero": np.zeros(g.n),
+        "random": np.random.default_rng(8).uniform(-1.0, 1.0, g.n),
+        "negative zero": np.full(g.n, -0.0),
+        "dyadic": dyadic,
+        "shifted dyadic": dyadic + 3.25,
+    }
+    for name, u in fields.items():
+        before = u.tobytes()
+        for count in (1, 2, 3, 313):
+            got = explicit_window(g, u, count, dt)
+            assert got.tobytes() == _operator_steps(g, u, count, dt).tobytes(), (name, count)
+            assert u.tobytes() == before
+            again = explicit_window(g, u, count, dt)
+            assert got.flags.writeable
+            assert not np.shares_memory(got, again) and not np.shares_memory(got, u)
 
 
 def test_only_the_cauchy_loop_chooses_a_policy():
