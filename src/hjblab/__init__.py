@@ -18,7 +18,6 @@ from .analysis import (
     boundary_envelope_check,
     convergence_diagnostics,
     holder_fit,
-    linear_oracle_c,
     run_until_flat,
 )
 from .barriers import (
@@ -73,7 +72,6 @@ __all__ = [
     "find_barrier_delta",
     "find_lyapunov_delta",
     "holder_fit",
-    "linear_oracle_c",
     "march",
     "normalize_chi",
     "run_until_flat",

@@ -8,10 +8,7 @@
   the log-log slope of |chi - limit| against d;
 * long-time convergence: for w = u + c t - chi, the running extrema
   m_low(t) = min w and m_high(t) = max w are monotone brackets whose
-  common limit -K certifies uniform convergence of u + c t - chi to -K;
-* an independent ergodic constant for single-control problems from the
-  stationary density: solve the zero-flux conservative form of
-  (a mu)'' - (b mu)' = 0 on a finer grid and return -integral of l dmu.
+  common limit -K certifies uniform convergence of u + c t - chi to -K.
 
 The evolutive envelope and the long-time brackets take the states of a
 :func:`~hjblab.cauchy.march` and reduce each one as it is drawn, to the
@@ -32,7 +29,7 @@ from .cauchy import CauchyState, march, plan_march
 from .ergodic import ErgodicPair
 from .errors import ConfigError, NumericalError
 from .grid import Grid, GridField
-from .problem import ControlProblem, degeneracy_certificate
+from .problem import degeneracy_certificate
 
 MIN_FIT_NODES = 10  # the fewest nodes a Hoelder fit range may hold
 
@@ -51,10 +48,6 @@ class EnvelopeReport:
     n_nodes: int
     certified_delta: float | None = None
     certified: bool | None = None
-
-    @property
-    def violation(self) -> float:
-        return max(self.lower_violation, self.upper_violation)
 
 
 def boundary_envelope_check(
@@ -346,55 +339,3 @@ def run_until_flat(
             return _bracket_report(grid, pair, dt, curves), state
     raise NumericalError(f"bracket gap did not close below {2 * tol} by t={t_max}")
 
-
-def linear_oracle_c(problem: ControlProblem, grid: Grid, refine: int = 4) -> float:
-    """Ergodic constant of a single-control interval problem from the
-    stationary density.
-
-    Solves the conservative zero-flux form of (a mu)'' - (b mu)' = 0 on a
-    grid ``refine`` times finer than ``grid``: with every face flux zero,
-    (a mu) at neighboring nodes obeys a two-term recurrence that is
-    marched outward from the deepest node; mu is then normalized by the
-    trapezoid rule and c = -integral of l dmu.  Independent of the
-    Bellman discretization.
-    """
-    if len(problem.controls) != 1:
-        raise ConfigError("the stationary-density oracle needs exactly one control")
-    if problem.dim != 1:
-        raise ConfigError("the stationary-density oracle is one-dimensional")
-    dom = problem.domain
-    hf = grid.h / refine
-    m = int(round((dom.x_hi - dom.x_lo) / hf)) - 1
-    xs = dom.x_lo + hf * np.arange(1, m + 1)
-
-    a = problem.diffusion(xs[:, None], 0)[:, 0, 0]
-    b_face = problem.drift((xs[:-1] + hf / 2)[:, None], 0)[:, 0]
-
-    mu = np.zeros(m)
-    mid = m // 2
-    mu[mid] = 1.0
-    for i in range(mid, m - 1):  # march right; zero flux across every face
-        num = a[i] + 0.5 * hf * b_face[i]
-        den = a[i + 1] - 0.5 * hf * b_face[i]
-        if den <= 0.0 or num <= 0.0 or mu[i] == 0.0:
-            break  # density is below resolution from here outward
-        mu[i + 1] = mu[i] * num / den
-    for i in range(mid, 0, -1):  # march left
-        num = a[i] - 0.5 * hf * b_face[i - 1]
-        den = a[i - 1] + 0.5 * hf * b_face[i - 1]
-        if den <= 0.0 or num <= 0.0 or mu[i] == 0.0:
-            break
-        mu[i - 1] = mu[i] * num / den
-
-    if not np.isfinite(mu).all() or mu.max() <= 0:
-        raise NumericalError("stationary density solve failed")
-    # mass escaping to the boundary signals a violated invariance condition
-    fringe = max(10 * hf, 0.05 * (dom.x_hi - dom.x_lo))
-    near = (xs - dom.x_lo < fringe) | (dom.x_hi - xs < fringe)
-    total = np.trapezoid(mu, xs)
-    if total <= 0 or np.trapezoid(mu * near, xs) > 0.5 * total:
-        raise NumericalError("stationary density concentrates at the boundary; "
-                             "the domain is not invariant")
-    mu /= total
-    l_vals = problem.cost(xs[:, None], 0)
-    return -float(np.trapezoid(l_vals * mu, xs))

@@ -80,13 +80,6 @@ class BarrierProfile:
         return self.rho * (self.rho - 1) * d ** (self.rho - 2)
 
 
-class CallableProfile:
-    """Profile from explicit g, g', g'' callables."""
-
-    def __init__(self, g, g1, g2):
-        self.value, self.d1, self.d2 = g, g1, g2
-
-
 @dataclass
 class BarrierCertificate:
     """A collar on which F[g] <= -M holds at every sample, for the profile

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import os
 import sys
 
@@ -43,11 +44,11 @@ def _load_config(path: str) -> dict:
 
 def _config_hash(path: str) -> str:
     with open(path, "rb") as handle:
-        return iotools.sha256_bytes(handle.read())
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def _grid_h(config: dict, args) -> float:
-    if getattr(args, "h", None) is not None:
+    if args.h is not None:
         return args.h
     grid = config.get("grid", {})
     if not isinstance(grid, dict):
@@ -83,10 +84,20 @@ def _u0_field(grid, spec: str, seed: int):
 def _add_common(sub):
     sub.add_argument("config", help="problem configuration (JSON)")
     sub.add_argument("--out", default=None, help="output directory")
+
+
+def _add_grid_common(sub):
+    # validate and certify build no grid, so only these commands take --h
+    _add_common(sub)
     sub.add_argument("--h", type=float, default=None, help="grid spacing override")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # flags match whole: with prefixes, --h on a command that takes no
+        # --h would be read as --help and exit 0
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # a bad flag is refused like every bad argument: one line, exit 2
         self.exit(2, f"error: {message}\n")
@@ -115,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float, default=1e-3)
 
     p = subs.add_parser("solve", help="solve the initial-value problem")
-    _add_common(p)
+    _add_grid_common(p)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--mode", choices=("explicit", "implicit"), default="explicit")
     p.add_argument("--dt", type=float, default=None)
@@ -124,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = subs.add_parser("ergodic", help="compute the ergodic pair (c, chi)")
-    _add_common(p)
+    _add_grid_common(p)
     p.add_argument(
         "--method", choices=("policy", "rvi"), default="policy",
         help="policy: policy iteration for the average cost (default); "
@@ -136,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8, help="interior residual tolerance")
 
     p = subs.add_parser("converge", help="long-time convergence diagnostics")
-    _add_common(p)
+    _add_grid_common(p)
     p.add_argument("--u0", default="zero")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -144,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=500.0)
 
     p = subs.add_parser("holder", help="boundary regularity fit of the corrector")
-    _add_common(p)
+    _add_grid_common(p)
     p.add_argument("--side", choices=("left", "right", "radial"), default="left")
     p.add_argument("--fit-min", type=float, default=None,
                    help="lower end of the fit range in d, set with --fit-max; default "
@@ -154,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upper end of the fit range in d; default D = min(0.05, 0.8 x the collar width)")
 
     p = subs.add_parser("envelope", help="boundary envelope check")
-    _add_common(p)
+    _add_grid_common(p)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--t", type=float, default=None, help="evolutive check at this time")

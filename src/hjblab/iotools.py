@@ -20,7 +20,6 @@ identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections.abc import Iterator
@@ -140,10 +139,6 @@ def write_field_csv(path: str, coords: CoordinateText, values) -> None:
 def curves_csv(columns: dict[str, list[float]]) -> str:
     cells = (_repr_column(col) for col in columns.values())
     return "\n".join([",".join(columns), *_csv_rows(cells)]) + "\n"
-
-
-def sha256_bytes(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
 
 
 def worker_count() -> int:

@@ -293,8 +293,6 @@ def assemble_problem(config: dict) -> ControlProblem:
     if "preset" in config:
         expanded = _preset_config(config["preset"], config)
         config = {**expanded, **{k: v for k, v in config.items() if k not in ("preset", "L")}}
-        for key in ("domain", "controls", "regularity"):
-            config.setdefault(key, expanded[key])
 
     try:
         dom_cfg = _require(config["domain"], dict, "config section 'domain'")

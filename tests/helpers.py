@@ -71,6 +71,16 @@ def disk_config() -> dict:
     }
 
 
+def swirl_disk_config() -> dict:
+    """:func:`disk_config` plus the swirl 2 (-x2, x1) in the drift, which
+    leaves the exact c unchanged.  It needs B = 3 to pass validation:
+    with B = 2 it fails ``hoelder_b``."""
+    cfg = disk_config()
+    cfg["controls"][0]["b"] = ["-x1-2*x2", "-x2+2*x1"]
+    cfg["regularity"]["B"] = 3.0
+    return cfg
+
+
 def two_control_disk_config() -> dict:
     """:func:`disk_config` plus a rotating control with anisotropic diffusion."""
     cfg = disk_config()

@@ -5,8 +5,9 @@ import helpers
 import hjblab as hj
 from hjblab import barriers
 from hjblab import geometry as geo
-from hjblab.barriers import BarrierProfile, CallableProfile, LyapunovProfile, eval_F_radial
+from hjblab.barriers import BarrierProfile, LyapunovProfile, eval_F_radial
 from hjblab.errors import ConfigError, NumericalError
+from oracles import CallableProfile
 
 SMOOTH = helpers.problem("smoothA")
 

@@ -202,7 +202,8 @@ def test_coefficients_that_overflow_downstream_exit_one(tmp_path, capsys, comman
     path = tmp_path / "big.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "never"
-    code = cli.run([command, str(path), "--h", "0.1", "--out", str(out)])
+    grid_flags = ["--h", "0.1"] if command == "ergodic" else []
+    code = cli.run([command, str(path), *grid_flags, "--out", str(out)])
     err = capsys.readouterr().err
     if command == "ergodic" and field == "l":
         assert code == 1 and err.startswith("numerical failure: ")  # the solve refuses
@@ -384,6 +385,23 @@ def test_public_scipy_import_reuses_the_loaded_modules():
 def test_bad_flag_exits_two():
     res = run_cli("certify", preset_path("smoothA"))
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("validate",),
+    ("certify", "--family", "lyapunov", "--param", "1", "--M", "10"),
+])
+def test_grid_spacing_is_refused_where_no_grid_is_built(tmp_path, capsys, command):
+    import hjblab.cli as cli
+
+    out = tmp_path / "never"
+    code = cli.run([*command[:1], preset_path("smoothA"), *command[1:], "--h", "0.1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: unrecognized arguments: --h 0.1") and err.count("\n") == 1
+    assert not out.exists()
+    # a grid command still takes it
+    assert cli.run(["ergodic", preset_path("smoothA"), "--h", "0.1", "--out", str(tmp_path / "e")]) == 0
 
 
 def test_bad_threads_env_exits_two(tmp_path):

@@ -10,6 +10,7 @@ from hjblab import ergodic
 from hjblab.errors import ConfigError, NumericalError
 from hjblab.grid import apply_H
 from hjblab.iotools import dump_json
+from oracles import disk_oracle_c
 
 
 DISK = {
@@ -56,6 +57,25 @@ def test_policy_iterates_on_two_controls(name, h, iterations):
     else:
         g = helpers.grid(name, h)
     assert hj.solve_ergodic_policy(g).iterations == iterations
+
+
+def test_disk_oracle_matches_the_closed_form():
+    # c = -(1/2) integral_0^inf u^3 e^{-u} / (1+u)^2 du = 1 - 2 e E1(1)
+    from scipy.special import exp1
+
+    assert disk_oracle_c() == pytest.approx(1 - 2 * np.e * exp1(1.0), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("config", [helpers.disk_config, helpers.swirl_disk_config])
+def test_policy_c_is_first_order_on_the_disk(config):
+    # errors against the exact c, measured: -3.31e-3, -1.69e-3, -8.39e-4 on
+    # the disk and -1.10e-2, -5.57e-3, -2.75e-3 with the swirl
+    p = hj.assemble_problem(config())
+    assert hj.validate_assumptions(p).passed
+    exact = disk_oracle_c()
+    errors = [hj.solve_ergodic_policy(hj.build_grid(p, h)).c - exact for h in (0.05, 0.025, 0.0125)]
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert ((orders >= 0.9) & (orders <= 1.1)).all(), (errors, orders)
 
 
 def test_policy_singular_operator_raises():
