@@ -21,7 +21,12 @@ a whole block of points at once.  A scan hands it whole boundary rays,
 interval, or two of a disk's 16 rays.  One call per ray paid numpy's
 per-call cost 16 times on a disk; one call for all 16 rays raised the
 peak memory of a certify process by 6-8 MB (about 15%), where blocks of
-two rays cost about 0.4 MB.
+two rays cost about 0.4 MB.  A block is a view of the collar ladder
+whose coordinates are contiguous rows (:func:`hjblab.geometry.collar_ladder`).
+Its bindings are laid out once for every tree of every control
+(:func:`hjblab.expr.lay_out`), and the coefficient products read the
+component rows of the coefficients and of Dd and D2d, so no block of
+points, coefficients or derivatives is copied or transposed.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expr as ex
 from . import geometry as geo
 from .errors import ConfigError, NumericalError, overflow_is_numerical
 from .problem import (
@@ -118,7 +124,7 @@ def eval_F_radial(problem: ControlProblem, profile, x):
     if singular.any():
         raise ConfigError(f"profile is singular at d={d[np.argmax(singular)]}")
     best = None
-    bd = problem.bindings(pts, d)  # one distance evaluation per block
+    bd = ex.lay_out(problem.bindings(pts, d))  # one distance evaluation and layout per block
     with overflow_is_numerical("the coefficient products on the collar overflow a double"):
         for ci in range(len(problem.controls)):
             b, sigma = problem.drift_and_sigma(pts, ci, bd)
@@ -135,45 +141,45 @@ def _scan_delta(problem, profile, M, grid_step, theoretical=None):
     boundary ray.  They are evaluated in blocks of whole rays, in ray
     order, ``SCAN_BLOCK_POINTS`` samples at most per block (see the module
     docstring), so an error names the first bad point of the first bad
-    ray, as one call per ray would.  The running maximum of F
-    over the samples sorted by d is nondecreasing, so the admissible
-    collars are exactly ``dvals[0] < delta <= dvals[i]``, where ``i`` is
-    the first sample at which ``cummax + M <= 0`` fails (NaN fails); with
-    no failing sample there is no upper end.  One binary search over
-    ``cummax`` finds ``i``; the certificate is the largest point of the
-    descending lattice ``width, width - grid_step, ...`` in that interval,
-    found by a second one.
+    ray, as one call per ray would.  The running maximum over d of the
+    worst F at each d, ``cummax``, is nondecreasing, so the admissible
+    collars are exactly ``ds[0] < delta <= ds[j]``, where ``j`` is the
+    first d at which ``cummax + M <= 0`` fails (NaN fails); with no
+    failing d there is no upper end.  One binary search over ``cummax``
+    finds ``j``; the certificate is the largest point of the descending
+    lattice ``width, width - grid_step, ...`` in that interval, found by a
+    second one.  The witness table lists the samples below delta sorted
+    by d, samples at equal d in ray order.
     """
     dom = problem.domain
     width = geo.collar_width(dom)
     rays, ds = geo.collar_ladder(dom, 1e-9 * geo.diameter(dom), width * (1 - 1e-9), 2000)
     per_block = max(1, SCAN_BLOCK_POINTS // len(ds))
-    F = np.concatenate([
-        eval_F_radial(problem, profile, rays[i : i + per_block].reshape(-1, rays.shape[2]))
-        for i in range(0, len(rays), per_block)
-    ])
-    # samples sorted by d; samples at equal d in ray order
-    F = F.reshape(len(rays), len(ds)).T.ravel()
-    dvals = np.repeat(ds, len(rays))
-    # cumulative max of F over samples with d below a threshold
-    cummax = np.maximum.accumulate(F)
-    # first sample with cummax + M > 0, NaN included (searchsorted orders NaN last)
+    F = np.empty((len(rays), len(ds)))
+    for i in range(0, len(rays), per_block):
+        block = rays[i : i + per_block].reshape(-1, rays.shape[2])
+        F[i : i + per_block] = eval_F_radial(problem, profile, block).reshape(-1, len(ds))
+    # the worst sample at each d (NaN if any is), then its running maximum
+    cummax = np.maximum.accumulate(F.max(axis=0))
+    # first d with cummax + M > 0, NaN included (searchsorted orders NaN last)
     first_fail = np.searchsorted(cummax, -M, side="right")
-    upper = dvals[first_fail] if first_fail < len(dvals) else np.inf
+    upper = ds[first_fail] if first_fail < len(ds) else np.inf
     lattice = np.arange(width, grid_step * (1 - 1e-12), -grid_step)
     # first (largest) lattice point <= upper; -lattice ascends
     k = int(np.searchsorted(-lattice, -upper, side="left"))
-    if k == len(lattice) or lattice[k] <= dvals[0]:
+    if k == len(lattice) or lattice[k] <= ds[0]:
         raise NumericalError(
             f"no admissible delta found down to {grid_step}; the profile inequality "
             f"F <= -{M} fails on every lattice collar (assumption violation or "
             f"sampling too coarse)"
         )
     delta = lattice[k]
-    inside = np.searchsorted(dvals, delta, side="left")
-    margin = float(cummax[inside - 1] + M)
-    step = max(1, inside // 24)
-    table = [(float(dvals[i]), float(F[i])) for i in range(0, inside, step)]
+    below = np.searchsorted(ds, delta, side="left")
+    margin = float(cummax[below - 1] + M)
+    # every step-th of the samples below delta, in the order sorted by d
+    inside = below * len(rays)
+    at_d, on_ray = np.divmod(np.arange(0, inside, max(1, inside // 24)), len(rays))
+    table = list(zip(ds[at_d].tolist(), F[on_ray, at_d].tolist()))
     theo = None
     if theoretical is not None:
         theo = float(theoretical(ds[ds < delta]).max() + M)

@@ -22,8 +22,13 @@ There is no implicit multiplication and no user-defined functions.
 
 Trees are immutable.  :func:`evaluate` walks a tree once over arrays of
 bindings with numpy ufuncs, so a coefficient is evaluated at every point
-of a grid or a sample set in one pass.  Float bindings are evaluated as
-1-element arrays: the value at a point is bit-identical whether the
+of a grid or a sample set in one pass.  The bindings are first laid out
+(:func:`lay_out`): broadcast to one shape, one contiguous row per
+variable, copied unless the binding is such a row already.  A caller
+that evaluates several trees at the same points, such as a control's
+coefficients on a block of collar samples, lays them out once and
+passes the :class:`Layout` to each call.  Float bindings are evaluated
+as 1-element arrays: the value at a point is bit-identical whether the
 point is evaluated alone or inside any array (a numpy *scalar* would
 take a different power routine and differ in the last ulp).  Evaluation
 never returns a silent NaN: a domain fault anywhere in the array raises
@@ -36,6 +41,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,24 +262,54 @@ def free_vars(e: Expr) -> set[str]:
     return set().union(*(free_vars(a) for a in e.args))
 
 
-def evaluate(e: Expr, bindings: dict):
+class Layout(NamedTuple):
+    """Bindings laid out for :func:`evaluate`: each variable one
+    contiguous, read-only float row of the common size, and the common
+    shape of the bindings (``()`` for float bindings only)."""
+
+    rows: dict
+    shape: tuple
+
+
+def lay_out(bindings) -> Layout:
+    """``bindings`` broadcast to their common shape and flattened, each
+    variable into one contiguous read-only row: a read-only view of a
+    binding that is a contiguous float array of that shape, and a copy of
+    any other.  A :class:`Layout` is returned as it is."""
+    if isinstance(bindings, Layout):
+        return bindings
+    values = {name: np.asarray(v, dtype=float) for name, v in bindings.items()}
+    shape = np.broadcast_shapes(*(v.shape for v in values.values()))
+    rows = {}
+    for name, v in values.items():
+        rows[name] = np.ascontiguousarray(np.broadcast_to(v, shape)).reshape(-1)
+        rows[name].flags.writeable = False
+    return Layout(rows, shape)
+
+
+def evaluate(e: Expr, bindings):
     """Evaluate ``e`` under ``bindings`` with numpy ufuncs.
 
-    Each binding is a float or an array; arrays broadcast against each
-    other and the result is an array of their common shape.  With float
-    bindings only, the result is a float.  Domain faults (division by
+    ``bindings`` maps each variable to a float or an array; arrays
+    broadcast against each other and the result is an array of their
+    common shape.  With float bindings only, the result is a float.  A
+    caller that evaluates several trees under one set of bindings lays
+    them out once with :func:`lay_out` and passes the :class:`Layout`:
+    the values are the same bits, and only the layout is saved.  The
+    result is a new array either way, also for a bare variable, and
+    shares no memory with the bindings.  Domain faults (division by
     zero, 0^negative, a non-integer power of a negative base, log of a
     nonpositive value, overflow, NaN) are checked over the whole array
     and raise :class:`DomainFaultError` naming the offending
     sub-expression and the first point where it occurs.
     """
-    values = {name: np.asarray(v, dtype=float) for name, v in bindings.items()}
-    shape = np.broadcast_shapes(*(v.shape for v in values.values()))
-    env = {name: np.broadcast_to(v, shape).flatten() for name, v in values.items()}
-    size = math.prod(shape) if shape else 1
+    env, shape = lay_out(bindings)
+    size = math.prod(shape)
     with np.errstate(all="ignore"):
         result = _eval(e, env, size)
         _check(np.isnan(result), "evaluation produced NaN", e, env)
+    if isinstance(e, Var):
+        result = result.copy()  # a laid-out row is shared and read-only
     return float(result[0]) if shape == () else result.reshape(shape)
 
 

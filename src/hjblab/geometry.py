@@ -152,9 +152,17 @@ def distance(dom: Domain, x):
         if (r == 0.0).any():
             raise ConfigError("distance gradient is undefined at the disk center")
         n = delta / r  # (2, m)
-        D2d = -(np.eye(2)[:, :, None] - n[:, None, :] * n[None, :, :]) / r  # (2, 2, m)
-        D2d = D2d.transpose(2, 0, 1)
-        d, Dd = dom.radius - r, (-n).T
+        # D2d_ij = -(delta_ij - n_i n_j) / r, formed in place one entry row at
+        # a time; n_1 n_0 is n_0 n_1, so the two off-diagonal rows are one
+        D2d = np.empty((2, 2, m))
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            entry = D2d[i, j]
+            np.multiply(n[i], n[j], out=entry)
+            np.subtract(float(i == j), entry, out=entry)
+            np.negative(entry, out=entry)
+            entry /= r
+        D2d[1, 0] = D2d[0, 1]
+        d, Dd, D2d = dom.radius - r, (-n).T, D2d.transpose(2, 0, 1)
     if single:
         return float(d[0]), Dd[0], D2d[0]
     return d, Dd, D2d
@@ -185,12 +193,20 @@ def collar_ladder(dom: Domain, d_min: float, d_max: float, n: int):
     The rays are the two sides of an interval, or ``DISK_DIRECTIONS``
     equally spaced radii of a disk.  Returns (points, ds): points of shape
     (rays, n, N), ordered by increasing d along each ray, and ds (n,).
+    The points are laid out component-major, as :func:`distance` lays out
+    Dd: coordinate k is one contiguous (rays, n) block, on a disk
+    ``c_k + (R - ds) u_k`` for the ray directions u, formed in place, and
+    ``points`` is the transposed view of the stacked blocks.  So whole
+    rays reshaped to (m, N) are a view whose coordinates are contiguous
+    (m,) rows.
     """
     ds = np.geomspace(d_min, d_max, n)
     if isinstance(dom, Interval):
-        pts = np.stack([dom.x_lo + ds, dom.x_hi - ds])[:, :, None]
+        coords = np.stack([dom.x_lo + ds, dom.x_hi - ds])[None]
     else:
         th = np.linspace(0.0, 2 * np.pi, DISK_DIRECTIONS, endpoint=False)
-        u = np.stack([np.cos(th), np.sin(th)], axis=1)
-        pts = np.asarray(dom.center) + (dom.radius - ds)[None, :, None] * u[:, None, :]
-    return pts, ds
+        coords = np.empty((2, DISK_DIRECTIONS, n))
+        for c, u, block in zip(dom.center, (np.cos(th), np.sin(th)), coords):
+            np.multiply(dom.radius - ds, u[:, None], out=block)
+            block += c
+    return coords.transpose(1, 2, 0), ds

@@ -61,11 +61,15 @@ one row of it.
 
 How the build closed the stencil at the boundary is one record,
 ``Grid.closure`` (:class:`BoundaryClosure`): the boundary faces whose
-normal diffusivity survived the clamp, the faces clamped and the drift
-components forced inward.  A surviving face would need a boundary datum.
+normal diffusivity survived the clamp, the faces clamped, the drift
+components forced inward and the stencil coefficients that came out
+positive.  A surviving face would need a boundary datum.
 :func:`build_grid` and :func:`stencil_report` accept such a grid and
 count those faces; every solver refuses it through
 :func:`require_no_boundary_data`.  Both read their counts off the record.
+A positive coefficient makes the scheme non-monotone at its node; the
+solvers accept it, since a validated problem can have one (a drift
+along the boundary, forced inward on a lattice axis).
 """
 
 from __future__ import annotations
@@ -93,12 +97,26 @@ class BoundaryClosure(NamedTuple):
     diffusivity is at least h^2 (or not a number), ``first_exterior_node``
     is the lowest node with one (None without), ``clamped_faces`` counts
     the boundary faces clamped to zero and ``forced_inward`` the outward
-    drift components discretized one-sided inward."""
+    drift components discretized one-sided inward.
+    ``positive_coefficients`` counts the stencil coefficients above zero,
+    each a positive off-diagonal entry of a :func:`frozen_matrix`; the
+    upwinding gives one only where a forced drift outweighs the face
+    diffusivity.  ``first_positive_node`` is the lowest node with one
+    (None without)."""
 
     exterior_faces: int
     first_exterior_node: int | None
     clamped_faces: int
     forced_inward: int
+    positive_coefficients: int
+    first_positive_node: int | None
+
+
+def _first_node(flags: np.ndarray) -> int | None:
+    """The lowest node (last axis) with a flag set anywhere along the
+    other axes; None without one."""
+    hit = flags.reshape(-1, flags.shape[-1]).any(axis=0)
+    return int(np.argmax(hit)) if hit.any() else None
 
 
 def _check_size(h: float, points: float) -> None:
@@ -253,15 +271,18 @@ class Grid:
         missing = 2 * N - has.sum(axis=0)
         clamped = nu < h2
         exterior = ~clamped
-        self.closure = BoundaryClosure(
-            exterior_faces=int((exterior * missing).sum()),
-            first_exterior_node=int(np.argmax(exterior.any(axis=0))) if exterior.any() else None,
-            clamped_faces=int((clamped * missing).sum()),
-            forced_inward=int((flip & (bt != 0.0)).sum()),
-        )
         # the one coefficient table, (2N, n_controls, n) in the row order of
         # _gather; a missing side has coefficient zero
         self._coef = np.ascontiguousarray(np.concatenate([minus, plus], axis=2).transpose(2, 0, 1))
+        positive = self._coef > 0.0
+        self.closure = BoundaryClosure(
+            exterior_faces=int((exterior * missing).sum()),
+            first_exterior_node=_first_node(exterior),
+            clamped_faces=int((clamped * missing).sum()),
+            forced_inward=int((flip & (bt != 0.0)).sum()),
+            positive_coefficients=int(positive.sum()),
+            first_positive_node=_first_node(positive),
+        )
         if N > 1:
             # the CSC pattern of every 2-D frozen_matrix: the diagonal and each
             # in-grid neighbor, whatever the policy and the value, as positions

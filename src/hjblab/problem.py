@@ -100,17 +100,17 @@ class ControlProblem:
     def _values(self, trees, x, bd=None) -> np.ndarray:
         """The trees at one point, (len(trees),), or at a block of points,
         (m, len(trees)); a point gets the same bits either way.  ``bd``
-        holds the :meth:`bindings` at ``x``, when the caller has built them.
+        holds the :meth:`bindings` at ``x``, when the caller has built them,
+        as a dict or laid out (:func:`hjblab.expr.lay_out`).  They are laid
+        out once for all the trees.
 
         The values are stacked component-major, one contiguous (m,) row
         per tree, and the block is the transposed view of that stack: the
         same shape, but ``vals[..., k]`` is a contiguous row, so the
-        products of this module (``rowdot`` and those built on it) read
-        and write contiguous arrays."""
+        products of this module read and write contiguous arrays."""
         pts, single = geo.as_points(self.domain, x)
-        if bd is None:
-            bd = self.bindings(pts)
-        vals = np.stack([ex.evaluate(t, bd) for t in trees]).T
+        laid = ex.lay_out(self.bindings(pts) if bd is None else bd)
+        vals = np.stack([ex.evaluate(t, laid) for t in trees]).T
         return vals[0] if single else vals
 
     def drift(self, x, ci: int) -> np.ndarray:
@@ -142,9 +142,10 @@ class ControlProblem:
         row = self._values(self.controls[ci].sigma[k], x)
         return rowdot(row, row)
 
-    def cost(self, x, ci: int):
-        """l at one point (a float) or at a block of points, (m,)."""
-        vals = self._values((self.controls[ci].l,), x)[..., 0]
+    def cost(self, x, ci: int, bd=None):
+        """l at one point (a float) or at a block of points, (m,); ``bd``
+        as for :meth:`drift_and_sigma`."""
+        vals = self._values((self.controls[ci].l,), x, bd)[..., 0]
         return float(vals) if vals.ndim == 0 else vals
 
     def fingerprint(self) -> str:
@@ -169,14 +170,17 @@ def _domain_dict(dom: geo.Domain) -> dict:
 
 # Products of coefficient blocks, summed left to right in plain ufunc
 # arithmetic (no BLAS), so that a point gives the same bits whether it is
-# evaluated alone or inside a block.
+# evaluated alone or inside a block.  Each term multiplies two entries
+# where they lie: on the component-major blocks of ControlProblem._values
+# and geometry.distance every entry is a contiguous (m,) row, so a term
+# reads two rows and the block is never copied or transposed.
 
 
 def rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot products of u and v along their last axis (broadcasting)."""
     out = u[..., 0] * v[..., 0]
     for k in range(1, u.shape[-1]):
-        out = out + u[..., k] * v[..., k]
+        out += u[..., k] * v[..., k]
     return out
 
 
@@ -186,14 +190,25 @@ def gram(s: np.ndarray) -> np.ndarray:
 
 
 def trace_product(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """tr(a c) for blocks of square matrices (..., N, N)."""
+    """tr(a c) for blocks of square matrices (..., N, N): the terms
+    a_ij c_ji with i outer and j inner."""
     n = a.shape[-1]
-    return rowdot(a.reshape(*a.shape[:-2], n * n), np.swapaxes(c, -1, -2).reshape(*c.shape[:-2], n * n))
+    out = a[..., 0, 0] * c[..., 0, 0]
+    for i in range(n):
+        for j in range(n):
+            if i or j:
+                out += a[..., i, j] * c[..., j, i]
+    return out
 
 
 def quadratic_form(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v^T a v for blocks of matrices (..., N, N) and vectors (..., N)."""
-    return rowdot(v, rowdot(a, v[..., None, :]))
+    """v^T a v for blocks of matrices (..., N, N) and vectors (..., N):
+    the terms v_i (a v)_i, each (a v)_i the :func:`rowdot` of row i of a
+    with v."""
+    out = v[..., 0] * rowdot(a[..., 0, :], v)
+    for i in range(1, v.shape[-1]):
+        out += v[..., i] * rowdot(a[..., i, :], v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +480,12 @@ def validate_assumptions(problem: ControlProblem, tol: float = 0.05) -> Validati
     collar_d = np.tile(ds, len(rays))
     interior_pts = _interior_points(problem)
     n_int = len(interior_pts)
-    all_pts = np.concatenate([interior_pts, collar_pts])
+    # component-major, as the ladder: each coordinate one contiguous row
+    all_pts = np.concatenate([interior_pts.T, collar_pts.T], axis=1).T
+    bd = ex.lay_out(problem.bindings(all_pts))
     coeffs = [
-        (*problem.drift_and_sigma(all_pts, ci), problem.cost(all_pts, ci)) for ci in range(n_controls)
+        (*problem.drift_and_sigma(all_pts, ci, bd), problem.cost(all_pts, ci, bd))
+        for ci in range(n_controls)
     ]
 
     # (i) Hoelder ratios for b, l (exponent eta) and sigma (exponent beta)
@@ -477,8 +495,18 @@ def validate_assumptions(problem: ControlProblem, tol: float = 0.05) -> Validati
     consecutive = np.arange(len(all_pts) - 1)
     pi = np.concatenate([consecutive, drawn[:, 0]])
     pj = np.concatenate([consecutive + 1, drawn[:, 1]])
-    diff = all_pts[pi] - all_pts[pj]
-    gap = np.sqrt(rowdot(diff, diff))
+
+    def norms(v: np.ndarray) -> np.ndarray:
+        flat = v.reshape(len(v), -1)
+        return np.sqrt(rowdot(flat, flat))
+
+    def pair_norms(v: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
+        """``norms(v[pi] - v[pj])``, with the differences gathered and taken
+        one component row at a time."""
+        rows = v.reshape(len(v), -1).T
+        return norms((rows[:, pi] - rows[:, pj]).T)
+
+    gap = pair_norms(all_pts, pi, pj)
     pi, pj, gap = pi[gap != 0.0], pj[gap != 0.0], gap[gap != 0.0]
     if not len(gap):
         raise ConfigError(
@@ -486,14 +514,11 @@ def validate_assumptions(problem: ControlProblem, tol: float = 0.05) -> Validati
             f"{len(all_pts)} sample points is 0 in double precision"
         )
 
-    def norms(v: np.ndarray) -> np.ndarray:
-        flat = v.reshape(len(v), -1)
-        return np.sqrt(rowdot(flat, flat))
-
+    gap_eta, gap_beta = gap**reg.eta, gap**reg.beta
     ratios = {
-        "b": np.array([norms(b[pi] - b[pj]) / gap**reg.eta for b, _, _ in coeffs]),
-        "l": np.array([np.abs(l[pi] - l[pj]) / gap**reg.eta for _, _, l in coeffs]),
-        "sigma": np.array([norms(s[pi] - s[pj]) / gap**reg.beta for _, s, _ in coeffs]),
+        "b": np.array([pair_norms(b, pi, pj) / gap_eta for b, _, _ in coeffs]),
+        "l": np.array([np.abs(l[pi] - l[pj]) / gap_eta for _, _, l in coeffs]),
+        "sigma": np.array([pair_norms(s, pi, pj) / gap_beta for _, s, _ in coeffs]),
     }
     bound = reg.B * (1.0 + tol)
     for key in ("b", "l", "sigma"):

@@ -62,6 +62,17 @@ def flat_config() -> dict:
     }
 
 
+def skewed_interval_config() -> dict:
+    """A validated one-control interval problem with no symmetry: the drift
+    of smoothA plus 0.5 x1 (1 - x1), and l = x1^2.  Quadrature of its
+    zero-flux density gives c = -1/3."""
+    return {
+        "domain": {"kind": "interval", "x_lo": 0.0, "x_hi": 1.0},
+        "controls": [{"b": ["1-2*x1+0.5*x1*(1-x1)"], "sigma": [["x1*(1-x1)"]], "l": "x1^2"}],
+        "regularity": {"B": 2.5, "eta": 1.0, "beta": 1.0},
+    }
+
+
 def disk_config() -> dict:
     """The unit disk with b = -x, sigma = d I and l = x1^2."""
     return {
@@ -78,6 +89,16 @@ def swirl_disk_config() -> dict:
     cfg = disk_config()
     cfg["controls"][0]["b"] = ["-x1-2*x2", "-x2+2*x1"]
     cfg["regularity"]["B"] = 3.0
+    return cfg
+
+
+def wedge_disk_config() -> dict:
+    """:func:`disk_config` with its drift turned outward, |b| up to about
+    1.9, in a wedge about 2.4 degrees wide around 11.25 degrees: halfway
+    between two of the 16 rays that validation samples, so it passes."""
+    cfg = disk_config()
+    turn = "(1-3*exp(-((x2-0.19891*x1)/0.02)^2)*max(x1,0))"
+    cfg["controls"][0]["b"] = [f"-x1*{turn}", f"-x2*{turn}"]
     return cfg
 
 

@@ -10,7 +10,10 @@ Nothing here touches the package's discretization:
   stationary density: the zero-flux conservative form of
   (a mu)'' - (b mu)' = 0 on a finer grid, and c = -integral of l dmu;
 * the exact ergodic constant of the benchmark disk from its radial
-  stationary density, by quadrature.
+  stationary density, by quadrature;
+* the coefficient products and the collar ladder as one broadcast
+  operation per term over the whole block, the bits that the package's
+  row-wise kernels must keep.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.integrate import quad
 
 import hjblab as hj
 from hjblab.errors import ConfigError, NumericalError
-from hjblab.geometry import distance_value
+from hjblab.geometry import DISK_DIRECTIONS, Interval, distance_value
 
 
 def fd_gradient(dom, x, step=1e-5):
@@ -189,3 +192,40 @@ def disk_oracle_c() -> float:
     mass = quad(weight, 1, np.inf, epsabs=0, epsrel=1e-13)[0]
     cost = quad(lambda t: 0.5 * (1 - 1 / t) ** 2 * weight(t), 1, np.inf, epsabs=0, epsrel=1e-13)[0]
     return -cost / mass
+
+
+# The coefficient products and the collar ladder, each term one broadcast
+# product over the whole block: the trace product flattens (i, j) and
+# copies the transpose of c, the quadratic form sums the rows of a v at
+# once, and the ladder forms every point of a disk ray as one (N,) row.
+
+
+def broadcast_rowdot(u, v):
+    out = u[..., 0] * v[..., 0]
+    for k in range(1, u.shape[-1]):
+        out = out + u[..., k] * v[..., k]
+    return out
+
+
+def broadcast_gram(s):
+    return broadcast_rowdot(s[..., :, None, :], s[..., None, :, :])
+
+
+def broadcast_trace_product(a, c):
+    n = a.shape[-1]
+    return broadcast_rowdot(
+        a.reshape(*a.shape[:-2], n * n), np.swapaxes(c, -1, -2).reshape(*c.shape[:-2], n * n)
+    )
+
+
+def broadcast_quadratic_form(a, v):
+    return broadcast_rowdot(v, broadcast_rowdot(a, v[..., None, :]))
+
+
+def broadcast_collar_ladder(dom, d_min, d_max, n):
+    ds = np.geomspace(d_min, d_max, n)
+    if isinstance(dom, Interval):
+        return np.stack([dom.x_lo + ds, dom.x_hi - ds])[:, :, None], ds
+    th = np.linspace(0.0, 2 * np.pi, DISK_DIRECTIONS, endpoint=False)
+    u = np.stack([np.cos(th), np.sin(th)], axis=1)
+    return np.asarray(dom.center) + (dom.radius - ds)[None, :, None] * u[:, None, :], ds

@@ -463,6 +463,49 @@ def test_frozen_matrix_is_an_m_matrix_with_row_sums_shift(name):
             assert np.array_equal(m[pin], np.eye(g.n)[pin])
 
 
+def _build(config, h):
+    return lambda: hj.build_grid(hj.assemble_problem(config()), h)
+
+
+# the grids the benchmark solves, and the validated two-control disk
+BENCHMARK_GRIDS = {
+    **{f"{name}-0.004": (lambda name=name: helpers.grid(name, 0.004)) for name in helpers.PRESETS},
+    "disk-0.05": _build(helpers.disk_config, 0.05),
+    "disk-0.02": _build(helpers.disk_config, 0.02),
+    "validated_two_control_disk-0.05": _build(helpers.validated_two_control_disk_config, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_GRIDS))
+def test_frozen_matrix_contract_on_the_benchmark_grids(name):
+    # shift I + scale A, by its sparse entries: off-diagonal entries <= 0 and
+    # row sums equal to the shift, relative to 1 + scale |A_ii|, within the
+    # stencil report's row-sum residual, or 4 ulps where that reads 0 (the
+    # report adds each row in the build's order, which is exact in 1-D)
+    g = BENCHMARK_GRIDS[name]()
+    report = hj.stencil_report(g)
+    assert report.min_offdiagonal > 0.0
+    tol = max(report.max_row_sum_error, 4 * np.finfo(float).eps)
+    rng = np.random.default_rng(17)
+    for scale in (1.0, 0.05):
+        for shift in (0.0, 1.0):
+            policy = rng.integers(0, g.n_controls, g.n)
+            m = frozen_matrix(g, policy, scale, shift)
+            if g.ndim == 1:
+                off = np.concatenate([m[0, 1:], m[2, :-1]])
+                sums = m[1].copy()
+                sums[:-1] += m[0, 1:]
+                sums[1:] += m[2, :-1]
+                diag = m[1]
+            else:
+                entries = helpers.scipy_csc(m).tocoo()
+                off = entries.data[entries.row != entries.col]
+                sums = np.bincount(entries.row, weights=entries.data, minlength=g.n)
+                diag = helpers.scipy_csc(m).diagonal()
+            assert (off <= 0.0).all(), (scale, shift)
+            assert (np.abs(sums - shift) <= tol * (1.0 + np.abs(diag - shift))).all(), (scale, shift)
+
+
 def test_disk_factor_matches_spsolve():
     import scipy.sparse.linalg
 

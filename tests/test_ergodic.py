@@ -73,9 +73,30 @@ def test_policy_c_is_first_order_on_the_disk(config):
     p = hj.assemble_problem(config())
     assert hj.validate_assumptions(p).passed
     exact = disk_oracle_c()
-    errors = [hj.solve_ergodic_policy(hj.build_grid(p, h)).c - exact for h in (0.05, 0.025, 0.0125)]
+    _assert_first_order([hj.solve_ergodic_policy(hj.build_grid(p, h)).c - exact for h in (0.05, 0.025, 0.0125)])
+
+
+def _assert_first_order(errors):
+    """Each halving of h halves the error: observed orders in [0.9, 1.1]."""
     orders = np.log2(np.divide(errors[:-1], errors[1:]))
     assert ((orders >= 0.9) & (orders <= 1.1)).all(), (errors, orders)
+
+
+def test_policy_c_is_first_order_on_a_skewed_interval():
+    # errors against the exact c = -1/3, measured: -5.41e-4, -2.67e-4,
+    # -1.33e-4 and -6.61e-5 (smoothA's and degenerateB's c are -1/2 at every
+    # h, by symmetry, so they show no discretization error)
+    p = hj.assemble_problem(helpers.skewed_interval_config())
+    assert hj.validate_assumptions(p).passed
+    _assert_first_order([hj.solve_ergodic_policy(hj.build_grid(p, h)).c + 1 / 3
+                         for h in (0.02, 0.01, 0.005, 0.0025)])
+
+
+def test_policy_c_is_first_order_on_two_controls():
+    # no exact c for twoControlA: its successive differences, measured
+    # 4.28e-5, 2.19e-5 and 1.07e-5, halve with h
+    cs = [hj.solve_ergodic_policy(helpers.grid("twoControlA", h)).c for h in (0.008, 0.004, 0.002, 0.001)]
+    _assert_first_order(np.diff(cs))
 
 
 def test_policy_singular_operator_raises():

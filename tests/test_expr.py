@@ -12,7 +12,7 @@ from hjblab.errors import (
     UnboundVariableError,
     UnknownIdentifierError,
 )
-from hjblab.expr import Bin, Call, Neg, Num, Var, evaluate, free_vars, parse, pretty
+from hjblab.expr import Bin, Call, Neg, Num, Var, evaluate, free_vars, lay_out, parse, pretty
 
 
 def ev(src, **bindings):
@@ -205,3 +205,52 @@ def test_result_shapes():
     assert isinstance(ev("x1 + 1", x1=2.0), float)
     assert evaluate(parse("3"), {"x1": np.zeros(4)}).tolist() == [3.0] * 4
     assert evaluate(parse("x1*d"), {"x1": np.ones((2, 3)), "d": 2.0}).shape == (2, 3)
+
+
+def _bindings(rng, m=64):
+    # d holds a zero and negatives, x1 and x2 large values, so that many
+    # trees fault somewhere in the block
+    d = rng.uniform(-0.5, 1.0, m)
+    d[rng.integers(m)] = 0.0
+    return {"x1": rng.uniform(-2.0, 2.0, m) * 10.0 ** rng.integers(-3, 4, m), "x2": rng.uniform(-2.0, 2.0, m), "d": d}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.recursive(_leaf, _compound, max_leaves=12))
+@example(Var("x1"))
+@example(Num(-0.0))
+@example(Bin("/", Num(1.0), Var("d")))
+def test_laid_out_bindings_evaluate_as_plain_ones(tree):
+    # the same bits or the same fault, naming the same sub-expression and
+    # point; the result is a new writable array that shares no memory
+    # with the bindings or their layout, a bare variable included
+    bindings = _bindings(np.random.default_rng(7))
+    laid = lay_out(bindings)
+    assert lay_out(laid) is laid
+    try:
+        want = evaluate(tree, bindings)
+    except DomainFaultError as fault:
+        with pytest.raises(DomainFaultError) as again:
+            evaluate(tree, laid)
+        assert (str(again.value), again.value.expression, again.value.point) == (
+            str(fault), fault.expression, fault.point)
+        return
+    got = evaluate(tree, laid)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.flags.writeable
+    assert not any(np.shares_memory(got, v) for v in (*bindings.values(), *laid.rows.values()))
+
+
+def test_layout_rows_are_contiguous_and_read_only():
+    # a strided binding and a float are copied, a contiguous row is viewed;
+    # the caller's own array stays writable either way
+    x1 = np.arange(12.0).reshape(6, 2)[:, 1]
+    x2 = np.arange(6.0)
+    laid = lay_out({"x1": x1, "x2": x2, "d": 0.5})
+    assert laid.shape == (6,)
+    for row in laid.rows.values():
+        assert row.flags.c_contiguous and not row.flags.writeable
+    assert not np.shares_memory(laid.rows["x1"], x1) and np.shares_memory(laid.rows["x2"], x2)
+    assert x1.flags.writeable and x2.flags.writeable
+    assert laid.rows["d"].tolist() == [0.5] * 6
+    assert isinstance(evaluate(parse("x1 + d"), lay_out({"x1": 2.0, "d": 1.0})), float)

@@ -6,13 +6,14 @@ from hjblab.geometry import (
     Disk,
     Interval,
     boundary_foot,
+    collar_ladder,
     collar_width,
     diameter,
     distance,
     distance_value,
     inradius,
 )
-from oracles import fd_gradient, fd_hessian
+from oracles import broadcast_collar_ladder, fd_gradient, fd_hessian
 
 UNIT = Interval(0.0, 1.0)
 DISK = Disk((0.0, 0.0), 1.0)
@@ -117,3 +118,19 @@ def test_distance_batch_refuses_any_bad_point():
         distance(DISK, np.array([[0.2, 0.1], [0.0, 0.0]]))
     with pytest.raises(ConfigError):
         distance_value(DISK, np.array([[0.2, 0.1], [1.5, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "dom", [UNIT, Interval(-0.2, 1.7), DISK, Disk((0.3, -0.7), 1.3), Disk((-1e3, 5e-3), 1e-3)]
+)
+def test_collar_ladder_keeps_the_bits_of_the_broadcast_ladder(dom):
+    for n in (1, 7, 2000):
+        args = (dom, 1e-9 * diameter(dom), collar_width(dom) * (1 - 1e-9), n)
+        pts, ds = collar_ladder(*args)
+        want_pts, want_ds = broadcast_collar_ladder(*args)
+        assert pts.shape == want_pts.shape and ds.tobytes() == want_ds.tobytes()
+        assert np.ascontiguousarray(pts).tobytes() == want_pts.tobytes()
+        # whole rays as a block of points: a view with contiguous coordinates
+        block = pts[:2].reshape(-1, pts.shape[2])
+        assert np.shares_memory(block, pts)
+        assert all(block[:, k].flags.c_contiguous for k in range(pts.shape[2]))

@@ -221,7 +221,8 @@ def _per_node_stencil(p, h):
     node by node from the pointwise API: the upwinded drift b - div(a) with
     a_kk differenced at x +- fd_step, the face diffusivities a_kk at the
     midpoints towards existing neighbors, and the normal diffusivity at the
-    boundary foot of a node with a missing neighbor."""
+    boundary foot of a node with a missing neighbor.  The record's positive
+    coefficients are counted off those coefficients."""
     g = hj.build_grid(p, h)
     N, fd_step = g.ndim, 1e-6 * diameter(p.domain)
     coef = np.zeros((2 * N, g.n_controls, g.n))
@@ -256,7 +257,9 @@ def _per_node_stencil(p, h):
                         value = -p.diffusion_diagonal(xf, ci, k) / h**2
                         value += (bt if side == 0 else -bt) / h if side == up else 0.0
                         coef[side * N + k, ci, i] = value
-    return g, coef, BoundaryClosure(exterior, first, clamped, forced)
+    above = coef > 0.0
+    first_above = int(np.flatnonzero(above.any(axis=(0, 1)))[0]) if above.any() else None
+    return g, coef, BoundaryClosure(exterior, first, clamped, forced, int(above.sum()), first_above)
 
 
 def test_cached_coefficients_match_direct_evaluation():
@@ -287,20 +290,27 @@ def _constant_sigma_config() -> dict:
     return cfg
 
 
-@pytest.mark.parametrize("config, h, exterior, clamped, forced", [
-    ({"preset": "smoothA"}, 0.01, 0, 2, 0),
-    ({"preset": "degenerateB"}, 0.05, 0, 2, 2),
-    (helpers.sigma_one_config(), 0.01, 2, 0, 0),
+@pytest.mark.parametrize("config, h, exterior, clamped, forced, positive", [
+    ({"preset": "smoothA"}, 0.01, 0, 2, 0, (0, None)),
+    # forced inward at both ends, but the faces outweigh the drift there
+    ({"preset": "degenerateB"}, 0.05, 0, 2, 2, (0, None)),
+    (helpers.sigma_one_config(), 0.01, 2, 0, 0, (0, None)),
     # sigma = 0.01: a normal diffusivity of exactly h^2 survives the clamp
-    (_constant_sigma_config(), 0.01, 2, 0, 0),
-    (_constant_sigma_config(), 0.02, 0, 2, 0),
-    (helpers.disk_config(), 0.05, 0, 156, 0),
-    (helpers.two_control_disk_config(), 0.1, 0, 152, 44),
-], ids=["smoothA", "degenerateB", "sigma_one", "sigma_h", "sigma_h/2", "disk", "two_control_disk"])
-def test_boundary_record_counts(config, h, exterior, clamped, forced):
-    # the counts the per-face tables of earlier builds gave on these grids
+    (_constant_sigma_config(), 0.01, 2, 0, 0, (0, None)),
+    (_constant_sigma_config(), 0.02, 0, 2, 0, (0, None)),
+    (helpers.disk_config(), 0.05, 0, 156, 0, (0, None)),
+    (helpers.two_control_disk_config(), 0.1, 0, 152, 44, (30, 1)),
+    # two problems that validation passes, with positive coefficients:
+    # the swirl runs along the boundary, the wedge points outward
+    (helpers.swirl_disk_config(), 0.05, 0, 156, 48, (40, 13)),
+    (helpers.wedge_disk_config(), 0.02, 0, 396, 3, (3, 4684)),
+], ids=["smoothA", "degenerateB", "sigma_one", "sigma_h", "sigma_h/2", "disk", "two_control_disk",
+        "swirl_disk", "wedge_disk"])
+def test_boundary_record_counts(config, h, exterior, clamped, forced, positive):
+    # the counts the per-face tables of earlier builds gave on these grids,
+    # and the positive coefficients with the first node that has one
     g = hj.build_grid(hj.assemble_problem(config), h)
-    assert g.closure == BoundaryClosure(exterior, 0 if exterior else None, clamped, forced)
+    assert g.closure == BoundaryClosure(exterior, 0 if exterior else None, clamped, forced, *positive)
     rep = stencil_report(g)
     assert (rep.exterior_reference_count, rep.clamped_face_count, rep.forced_inward_count) == (
         exterior, clamped, forced)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from hjblab import assemble_problem, validate_assumptions
 from hjblab import geometry as geo
 from hjblab import problem as pb
@@ -231,3 +232,41 @@ def test_hoelder_ratio_uses_the_per_pair_draws(domain, l, count):
 def test_validate_refuses_a_bad_tolerance(tol):
     with pytest.raises(ConfigError, match="tol"):
         validate_assumptions(helpers.problem("smoothA"), tol=tol)
+
+
+def _awkward(rng, shape):
+    """Doubles of both signs and every scale: signed zeros, subnormals,
+    values whose products underflow or overflow, and ordinary ones."""
+    scale = rng.choice([0.0, -0.0, 5e-324, 1e-310, 1e-160, 1.0, 1e154, 1e300], size=shape)
+    return scale * rng.standard_normal(shape)
+
+
+def _layouts(block):
+    """The block point-major, component-major (a view of one contiguous
+    row per entry, as ControlProblem._values and distance lay it out) and
+    its first point alone."""
+    rows = np.ascontiguousarray(np.moveaxis(block, 0, -1))
+    return [block, np.moveaxis(rows, -1, 0), block[0]]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2])
+def test_products_keep_the_bits_of_the_broadcast_products(N, r):
+    # the row-wise kernels add the same products in the same order as one
+    # broadcast product per term over the block, so every bit agrees,
+    # the sign of a zero, a subnormal, an inf and a NaN included
+    rng = np.random.default_rng(10 * N + r)
+    with np.errstate(all="ignore"):
+        for _ in range(25):
+            blocks = (_awkward(rng, (48, N, r)), _awkward(rng, (48, N, N)),
+                      _awkward(rng, (48, N, N)), _awkward(rng, (48, N)))
+            for s, a, c, v in zip(*map(_layouts, blocks)):
+                for got, want in (
+                    (pb.gram(s), oracles.broadcast_gram(s)),
+                    (pb.rowdot(v, a[..., 0]), oracles.broadcast_rowdot(v, a[..., 0])),
+                    (pb.trace_product(a, c), oracles.broadcast_trace_product(a, c)),
+                    (pb.trace_product(pb.gram(s), c), oracles.broadcast_trace_product(pb.gram(s), c)),
+                    (pb.quadratic_form(a, v), oracles.broadcast_quadratic_form(a, v)),
+                ):
+                    assert np.shape(got) == np.shape(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
